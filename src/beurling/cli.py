@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _cmd_weight_check(args) -> int:

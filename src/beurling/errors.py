@@ -24,7 +24,7 @@ class AnnihilationError(ValueError):
         self.residuals = tuple(residuals or ())
 
 
-class DecompositionError(RuntimeError):
+class DecompositionError(ValueError):
     """Exponential-polynomial recovery failed (no recurrence fits, or the
     recovery problem is too ill-conditioned to trust)."""
 
@@ -42,7 +42,7 @@ class IdealSaturationError(ValueError):
         self.order = order
 
 
-class UnboundedSupportError(RuntimeError):
+class UnboundedSupportError(ValueError):
     """A running sum escaped to infinite support; ``stage`` is the first
     iteration at which the zero-mean requirement failed (1-based)."""
 

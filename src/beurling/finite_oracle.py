@@ -6,8 +6,8 @@ sums, character multiplication, differences, constants) become exact
 identities between index sets.  This module is the ground-truth oracle the
 symbolic pipelines are checked against.
 
-The DFT is the direct O(q^2) sum, evaluated as a (chunked) matrix product;
-q is capped at 4096.
+The DFT, its inverse and cyclic convolution go through ``np.fft``.  q is
+capped at ``MAX_Q``, which bounds the size of input taken from the CLI.
 """
 
 from __future__ import annotations
@@ -49,40 +49,21 @@ class CyclicSignal:
 
 
 def dft(phi: CyclicSignal) -> np.ndarray:
-    """hat phi(k) = sum_n phi(n) e^{-2 pi i k n / q}, direct sum."""
-    q = phi.q
-    vals = phi.array()
-    out = np.empty(q, dtype=complex)
-    n = np.arange(q)
-    chunk = max(1, (1 << 20) // max(q, 1))  # keep the phase matrix small
-    for k0 in range(0, q, chunk):
-        ks = np.arange(k0, min(k0 + chunk, q))
-        phases = np.exp(-2j * math.pi * np.outer(ks, n) / q)
-        out[k0:k0 + len(ks)] = phases @ vals
-    return out
+    """hat phi(k) = sum_n phi(n) e^{-2 pi i k n / q}."""
+    return np.fft.fft(phi.array())
 
 
 def idft(hat: Sequence[complex]) -> CyclicSignal:
     """Inverse transform: phi(n) = (1/q) sum_k hat(k) e^{+2 pi i k n / q}."""
     hat = np.asarray(hat, dtype=complex)
-    q = len(hat)
-    n = np.arange(q)
-    out = np.empty(q, dtype=complex)
-    chunk = max(1, (1 << 20) // max(q, 1))
-    for n0 in range(0, q, chunk):
-        ns = np.arange(n0, min(n0 + chunk, q))
-        phases = np.exp(2j * math.pi * np.outer(ns, np.arange(q)) / q)
-        out[n0:n0 + len(ns)] = phases @ hat / q
-    return CyclicSignal(q, out)
+    return CyclicSignal(len(hat), np.fft.ifft(hat))
 
 
 def convolve_cyclic(f: CyclicSignal, g: CyclicSignal) -> CyclicSignal:
-    """(f . g)(n) = sum_m f(m) g(n - m mod q)."""
+    """(f . g)(n) = sum_m f(m) g(n - m mod q), via the transform product."""
     if f.q != g.q:
         raise ValueError("cyclic convolution needs matching group orders")
-    fa, ga = f.array(), g.array()
-    out = np.array([np.sum(fa * np.roll(ga[::-1], n + 1)) for n in range(f.q)])
-    return CyclicSignal(f.q, out)
+    return CyclicSignal(f.q, np.fft.ifft(dft(f) * dft(g)))
 
 
 def spectrum_finite(

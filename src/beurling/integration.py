@@ -76,16 +76,8 @@ def k_transform(f: FinSeq, iterations: int = 1, tol: float = 1e-12) -> FinSeq:
                 "does not stay finitely supported",
                 stage=stage,
             )
-        lo, hi = cur.support()
-        dense = np.zeros(hi - lo + 1, dtype=complex)
-        for n, v in cur.entries.items():
-            dense[n - lo] = v
-        running = np.cumsum(dense)
-        cur = FinSeq({lo + i: running[i] for i in range(len(running))})
-        # prune accumulated cancellation noise
-        if cur:
-            cap = 1e-12 * max(abs(v) for v in cur.entries.values())
-            cur = FinSeq({n: v for n, v in cur.entries.items() if abs(v) > cap})
+        lo, dense = cur._dense()
+        cur = FinSeq._from_dense(lo, np.cumsum(dense))  # prunes cancellation noise
     return cur
 
 
@@ -106,10 +98,11 @@ def boundedness_probe(s: Signal, windows: Sequence[int]) -> BoundednessVerdict:
         raise ValueError("windows must be strictly increasing and positive")
     top = windows[-1]
     vals = np.abs(eval_signal_range(s, -top, top))
-    sups = []
-    for w in windows:
-        lo, hi = top - w, top + w
-        sups.append(float(np.max(vals[lo:hi + 1])))
+    sups = [float(np.max(vals[top - w:top + w + 1])) for w in windows]
+    for w, sup in zip(windows, sups):
+        if not math.isfinite(sup):
+            raise ValueError(f"sup of |phi| over window {w} is {sup}; "
+                             "no verdict is drawn from non-finite evidence")
     trace = tuple(zip(windows, sups))
 
     last, prev = sups[-1], sups[-2]

@@ -28,6 +28,11 @@ ANGULAR_TOL = 1e-9
 #: after arithmetic, keeping supports finite and canonical.
 PRUNE_REL = 1e-12
 
+#: ``convolve`` goes dense while the product of the support spans is at most
+#: this multiple of the product of the entry counts.  On random complex
+#: inputs of 40 entries, dense is 2.3x faster at 580 and 4x slower at 8300.
+DENSE_SPAN_RATIO = 1000
+
 
 @dataclass(frozen=True)
 class CirclePoint:
@@ -111,6 +116,29 @@ class FinSeq:
     def abs_sum(self) -> float:
         return sum(abs(v) for v in self._entries.values())
 
+    # -- array view (private) -----------------------------------------------
+
+    def _arrays(self) -> tuple[list[int], np.ndarray]:
+        """Sorted offsets, as exact Python ints, and their values."""
+        ns = sorted(self._entries)
+        return ns, np.array([self._entries[n] for n in ns], dtype=complex)
+
+    def _dense(self) -> tuple[int, np.ndarray]:
+        """(lo, a) with a[i] = f(lo + i) across the whole support span."""
+        ns, vals = self._arrays()
+        a = np.zeros(ns[-1] - ns[0] + 1, dtype=complex)
+        a[[n - ns[0] for n in ns]] = vals
+        return ns[0], a
+
+    @staticmethod
+    def _from_dense(lo: int, a: np.ndarray) -> "FinSeq":
+        """The sequence n -> a[n - lo], pruned as arithmetic results are."""
+        mags = np.abs(a)
+        keep = np.flatnonzero(mags > PRUNE_REL * mags.max(initial=0.0))
+        out = FinSeq()
+        out._entries = dict(zip([lo + i for i in keep.tolist()], a[keep].tolist()))
+        return out
+
     # -- arithmetic ---------------------------------------------------------
 
     def _pruned(self) -> "FinSeq":
@@ -147,7 +175,12 @@ def delta(n: int = 0, value: complex = 1.0) -> FinSeq:
 
 
 def convolve(f: FinSeq, g: FinSeq) -> FinSeq:
-    """(f*g)(n) = sum_m f(m) g(n-m), exact over the finite supports."""
+    """(f*g)(n) = sum_m f(m) g(n-m), exact over the finite supports: by
+    ``np.convolve`` when dense, by a dict loop when sparse and wide."""
+    if f and g:
+        (f_lo, f_hi), (g_lo, g_hi) = f.support(), g.support()
+        if (f_hi - f_lo + 1) * (g_hi - g_lo + 1) <= DENSE_SPAN_RATIO * len(f) * len(g):
+            return FinSeq._from_dense(f_lo + g_lo, np.convolve(f._dense()[1], g._dense()[1]))
     out: dict[int, complex] = {}
     for m, fv in f._entries.items():
         for k, gv in g._entries.items():
@@ -179,30 +212,43 @@ def fourier_eval(f: FinSeq, t: float | CirclePoint, j: int = 0) -> complex:
 
 
 def fourier_grid(f: FinSeq, points: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """Transform sampled on the uniform grid t_k = 2 pi k / points."""
+    """Transform sampled on the uniform grid t_k = 2 pi k / points: offsets
+    are folded mod ``points`` in exact integers, then one FFT."""
     t = 2.0 * math.pi * np.arange(points) / points
-    vals = np.zeros(points, dtype=complex)
-    for n, v in f._entries.items():
-        vals += v * np.exp(-1j * n * t)
-    return t, vals
+    ns, vals = f._arrays()
+    folded = np.zeros(points, dtype=complex)
+    np.add.at(folded, np.array([n % points for n in ns], dtype=np.intp), vals)
+    return t, np.fft.fft(folded)
 
 
 def vanishing_order(f: FinSeq, t: float | CirclePoint, tol: float = 1e-9) -> int:
     """Smallest j whose transform derivative at t is non-negligible.
 
-    The test is scale-aware: derivative j is compared against
-    tol * sum_n |f(n)| (1+|n|)^j, so the answer is invariant under f -> c f.
-    Membership in the order-k ideal at t=0 is exactly ``vanishing_order > k``.
+    Offsets are measured from the midpoint c of the support: derivative j
+    of e^{ict} F f(t), sum_n f(n) (-i(n-c))^j e^{-int}, is compared against
+    tol * sum_n |f(n)| (1+|n-c|)^j.  The factor e^{ict} has no zeros, so
+    this is the vanishing order of F f, and the answer is invariant under
+    translation and under f -> c f.  Membership in the order-k ideal at t=0
+    is exactly ``vanishing_order > k``.
     """
     if not f:
         raise ValueError("vanishing order of the zero sequence is undefined")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = f.support()
-    for j in range(hi - lo + 1):
-        scale = sum(abs(v) * (1 + abs(n)) ** j for n, v in f._entries.items())
-        if abs(fourier_eval(f, t, j)) > tol * scale:
+    tt = t.t if isinstance(t, CirclePoint) else float(t)
+    ns, vals = f._arrays()
+    rel = np.array([n - ns[0] for n in ns], dtype=float)
+    dist = rel - rel[-1] / 2
+    terms = vals * np.exp(-1j * rel * tt)  # |e^{-i lo t}| = 1 drops out
+    weights = np.abs(vals)
+    for j in range(ns[-1] - ns[0] + 1):
+        scale = float(np.sum(weights))
+        if not math.isfinite(scale):
+            break
+        if abs(np.sum(terms)) > tol * scale:
             return j
+        terms = terms * dist
+        weights = weights * (1 + np.abs(dist))
     raise ValueError(
         "transform vanishes to every testable order; sequence is "
         "numerically indistinguishable from zero at this point"

@@ -165,14 +165,9 @@ def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
             return np.zeros(len(ns), dtype=complex)
         inner = eval_signal_range(s.inner, span_lo, span_hi)
         prefix = np.concatenate(([0j], np.cumsum(inner)))
-        # prefix[i] = sum of inner over [span_lo, span_lo + i - 1]
-
-        def cum_at(n: int) -> complex:
-            if n >= 0:
-                return prefix[n - span_lo + 1] - prefix[1 - span_lo]
-            return -(prefix[1 - span_lo] - prefix[n + 1 - span_lo])
-
-        return np.array([cum_at(int(n)) for n in ns], dtype=complex)
+        # prefix[i] = sum of inner over [span_lo, span_lo + i - 1], so on
+        # both sides of 0, P phi(n) = prefix[n - span_lo + 1] - prefix[1 - span_lo]
+        return prefix[ns - span_lo + 1] - prefix[1 - span_lo]
     raise TypeError(f"not a signal: {s!r}")
 
 

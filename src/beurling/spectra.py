@@ -151,6 +151,11 @@ def angles_of(result: SpectrumResult) -> tuple[float, ...]:
     return tuple(p.angle.t for p in result_points(result))
 
 
+def _near_any(t: float, angles) -> bool:
+    """Whether t is within the global angular tolerance of some angle."""
+    return any(circle_distance(t, u) <= ANGULAR_TOL for u in angles)
+
+
 # ---------------------------------------------------------------------------
 # polynomial root machinery
 
@@ -250,13 +255,9 @@ def _transform_circle_roots(f: FinSeq, unimod_tol: float) -> list[tuple[float, i
     Substituting u = e^{-it} turns the transform into u^{min supp} times an
     algebraic polynomial in u; the angle of a root u is t = -arg u.
     """
-    lo, hi = f.support()
-    dense = np.zeros(hi - lo + 1, dtype=complex)
-    for n, v in f.entries.items():
-        dense[n - lo] = v
     return [
         ((-cmath.phase(z)) % (2 * math.pi), mult)
-        for z, mult in polynomial_circle_roots(dense, unimod_tol)
+        for z, mult in polynomial_circle_roots(f._dense()[1], unimod_tol)
     ]
 
 
@@ -330,13 +331,7 @@ def hull_of_generators(
     common: Optional[list[float]] = None
     for f in gens:
         angles = [t for t, _ in _transform_circle_roots(f, tol)]
-        if common is None:
-            common = angles
-        else:
-            common = [
-                t for t in common
-                if any(circle_distance(t, u) <= ANGULAR_TOL for u in angles)
-            ]
+        common = angles if common is None else [t for t in common if _near_any(t, angles)]
         if not common:
             return Empty(_empty_certificate(gens, certificate_grid))
     points = []
@@ -597,20 +592,6 @@ class LawReport:
         return all(c.passed for c in self.checks if c.passed is not None)
 
 
-def _same_angle_set(a: SpectrumResult, b: SpectrumResult) -> bool:
-    xs, ys = angles_of(a), angles_of(b)
-    return len(xs) == len(ys) and all(
-        any(circle_distance(x, y) <= ANGULAR_TOL for y in ys) for x in xs
-    ) and all(any(circle_distance(y, x) <= ANGULAR_TOL for x in xs) for y in ys)
-
-
-def _subset_angles(a: SpectrumResult, b: SpectrumResult) -> bool:
-    return all(
-        any(circle_distance(x, y) <= ANGULAR_TOL for y in angles_of(b))
-        for x in angles_of(a)
-    )
-
-
 def check_calculus_laws(
     s: Signal,
     aux: Signal,
@@ -631,34 +612,32 @@ def check_calculus_laws(
         raise ValueError("scalar k must be non-zero")
     checks: list[LawCheck] = []
     sp_s = symbolic_spectrum(s)
+    own = angles_of(sp_s)
 
-    translated = translate_signal(s, y)
-    ok = _same_angle_set(symbolic_spectrum(translated), sp_s)
-    checks.append(LawCheck("a", ok, f"translate by {y}"))
-
-    ok = _same_angle_set(symbolic_spectrum(scale_signal(s, k)), sp_s)
-    checks.append(LawCheck("b", ok, f"scale by {k}"))
+    for law, image, detail in (
+        ("a", translate_signal(s, y), f"translate by {y}"),
+        ("b", scale_signal(s, k), f"scale by {k}"),
+    ):
+        got = angles_of(symbolic_spectrum(image))
+        ok = (len(got) == len(own) and all(_near_any(g, own) for g in got)
+              and all(_near_any(t, got) for t in own))
+        checks.append(LawCheck(law, ok, detail))
 
     try:
         total = add_signals(s, aux)
     except TypeError:
         checks.append(LawCheck("c", None, "sum not representable for these arms"))
     else:
-        union_angles = angles_of(symbolic_spectrum(s)) + angles_of(symbolic_spectrum(aux))
+        union_angles = own + angles_of(symbolic_spectrum(aux))
         got = angles_of(symbolic_spectrum(total))
-        ok = all(
-            any(circle_distance(g, u) <= ANGULAR_TOL for u in union_angles)
-            for g in got
-        )
+        ok = all(_near_any(g, union_angles) for g in got)
         checks.append(LawCheck("c", ok, "sum inside union"))
 
     if isinstance(s, ExpPoly):
         shifted = symbolic_spectrum(modulate_signal(s, gamma))
-        expected = {(t + gamma.t) % (2 * math.pi) for t in angles_of(sp_s)}
+        expected = {(t + gamma.t) % (2 * math.pi) for t in own}
         got = set(angles_of(shifted))
-        ok = len(expected) == len(got) and all(
-            any(circle_distance(e, g) <= ANGULAR_TOL for g in got) for e in expected
-        )
+        ok = len(expected) == len(got) and all(_near_any(e, got) for e in expected)
         checks.append(LawCheck("d", ok, f"modulate by {gamma.t}"))
     else:
         checks.append(LawCheck("d", None, "modulation not representable"))
@@ -668,7 +647,7 @@ def check_calculus_laws(
     except TypeError:
         checks.append(LawCheck("e", None, "difference not representable"))
     else:
-        ok = _subset_angles(symbolic_spectrum(diff), sp_s)
+        ok = all(_near_any(g, own) for g in angles_of(symbolic_spectrum(diff)))
         checks.append(LawCheck("e", ok, f"difference by {y} shrinks"))
 
     sp_one = symbolic_spectrum(constant_signal(1.0))

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from beurling.cli import main
 from beurling.descriptors import signal_to_json, weight_to_json
-from beurling.signals import ExpPoly, Geometric, sample_signal
+from beurling.signals import ExpPoly, Geometric, TableSignal, sample_signal
 from beurling.weights import ExponentialWeight, PowerWeight
 
 
@@ -132,6 +133,13 @@ class TestDecompose:
         ts = sorted(term["t"] for term in payload["terms"])
         assert ts == pytest.approx([0.5, 1.2], abs=1e-8)
 
+    def test_no_recurrence_is_input_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        noise = TableSignal(0, rng.standard_normal(200))
+        sig = write(tmp_path, "s.json", signal_to_json(noise))
+        code, out = run(capsys, "decompose", "--signal", sig)
+        assert code == 1 and out == ""
+
 
 class TestIntegrate:
     def test_bounded_character_sum(self, tmp_path, capsys):
@@ -144,6 +152,13 @@ class TestIntegrate:
         payload = json.loads(out)
         assert code == 0 and payload["verdict"] == "bounded"
         assert len(payload["supTrace"]) == 3
+
+    def test_non_finite_sup_is_input_error(self, tmp_path, capsys):
+        sig = write(tmp_path, "s.json", {"kind": "geometric", "ratio": 2})
+        with np.errstate(all="ignore"):
+            code, out = run(capsys, "integrate", "--signal", sig,
+                            "--probe", "100,1000,10000")
+        assert code == 1 and out == ""
 
 
 class TestOracle:

@@ -15,7 +15,29 @@ from beurling.finite_oracle import (
 )
 
 
+def direct_dft(x):
+    """Reference: hat(k) = sum_n x(n) e^{-2 pi i k n / q} as an O(q^2) sum."""
+    q = len(x)
+    n = np.arange(q)
+    return np.exp(-2j * math.pi * np.outer(n, n) / q) @ x
+
+
+def direct_idft(hat):
+    """Reference: x(n) = (1/q) sum_k hat(k) e^{+2 pi i k n / q}."""
+    q = len(hat)
+    n = np.arange(q)
+    return np.exp(2j * math.pi * np.outer(n, n) / q) @ hat / q
+
+
 class TestDft:
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 64, 100, 255, 256])
+    def test_matches_direct_sum(self, q):
+        rng = np.random.default_rng(q)
+        x = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        tol = 1e-12 * np.sum(np.abs(x))
+        assert np.max(np.abs(dft(CyclicSignal(q, x)) - direct_dft(x))) <= tol
+        assert np.max(np.abs(idft(x).array() - direct_idft(x))) <= tol
+
     def test_constant(self):
         hat = dft(CyclicSignal(4, [1, 1, 1, 1]))
         assert np.allclose(hat, [4, 0, 0, 0])

@@ -7,6 +7,7 @@ from beurling.seq_algebra import FinSeq, delta, fourier_eval
 from beurling.signals import (
     CumSum,
     ExpPoly,
+    Geometric,
     constant_signal,
     eval_signal,
     sample_signal,
@@ -92,6 +93,12 @@ class TestBoundednessProbe:
                                   [10, 100, 1000])
         sups = [s for _, s in probe.sup_trace]
         assert sups == sorted(sups)
+
+    def test_non_finite_sup_raises(self):
+        # 2^n overflows to inf inside the last window: no verdict from that
+        with pytest.raises(ValueError, match="window 10000"):
+            with np.errstate(all="ignore"):
+                boundedness_probe(Geometric(2), [100, 1000, 10000])
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

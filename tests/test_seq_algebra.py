@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beurling.seq_algebra import (
+    DENSE_SPAN_RATIO,
     CirclePoint,
     FinSeq,
     circle_distance,
@@ -23,7 +25,10 @@ from beurling.weights import ExponentialWeight, PowerWeight
 scalars = st.complex_numbers(
     min_magnitude=0.1, max_magnitude=4.0, allow_nan=False, allow_infinity=False
 )
-finseqs = st.dictionaries(st.integers(-6, 6), scalars, max_size=5).map(FinSeq)
+# far offsets give sparse, wide sequences, which convolve keeps off the
+# dense path
+offsets = st.integers(-6, 6) | st.sampled_from([-10_000, 10_000])
+finseqs = st.dictionaries(offsets, scalars, max_size=5).map(FinSeq)
 nonzero_finseqs = finseqs.filter(bool)
 
 
@@ -58,6 +63,25 @@ class TestConvolve:
         f = FinSeq({0: 1, 1: 1})
         g = FinSeq({0: 1, -1: 1})
         assert convolve(f, g) == FinSeq({-1: 1, 0: 2, 1: 1})
+
+    @pytest.mark.parametrize("entries, width", [(300, 300), (30, 30_000)])
+    def test_integer_values_exact(self, entries, width):
+        # one dense pair and one sparse, wide pair: both paths of convolve
+        rng = np.random.default_rng(width)
+
+        def draw(lo):
+            ns = lo + np.sort(rng.choice(width, entries, replace=False))
+            vals = rng.integers(-9, 10, entries) + 1j * rng.integers(-9, 10, entries)
+            dense = np.zeros(ns[-1] - ns[0] + 1, dtype=complex)
+            dense[ns - ns[0]] = vals
+            return FinSeq(zip(ns.tolist(), vals.tolist())), int(ns[0]), dense
+
+        (f, f_lo, a), (g, g_lo, b) = draw(-width // 2), draw(7)
+        dense = len(a) * len(b) <= DENSE_SPAN_RATIO * len(f) * len(g)
+        assert dense == (width == entries)
+        want = np.convolve(a, b)
+        keep = np.flatnonzero(want)
+        assert convolve(f, g) == FinSeq(zip((f_lo + g_lo + keep).tolist(), want[keep].tolist()))
 
     @given(finseqs, finseqs)
     def test_commutative(self, f, g):
@@ -166,6 +190,17 @@ class TestFourier:
         assert len(ts) == len(vals) == 8
         assert vals[0] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("points", [1, 7, 64, 1000])
+    def test_grid_matches_direct_sum(self, points):
+        # negative offsets, offsets beyond the grid size, and one far beyond
+        # float precision: the phase n t_k is reduced mod 2 pi exactly
+        f = FinSeq({-3: 1j, -2500: 0.5, 0: 2, 17: -1, 5 * points + 2: 0.25, 2**70: 3 - 1j})
+        ts, vals = fourier_grid(f, points)
+        for k in range(points):
+            want = sum(v * cmath.exp(-2j * math.pi * ((n * k) % points) / points) for n, v in f)
+            assert ts[k] == pytest.approx(2 * math.pi * k / points, abs=1e-15)
+            assert abs(vals[k] - want) <= 1e-12 * f.abs_sum()
+
 
 class TestVanishingOrder:
     def test_double_zero(self):
@@ -185,6 +220,15 @@ class TestVanishingOrder:
     def test_zero_sequence_rejected(self):
         with pytest.raises(ValueError):
             vanishing_order(FinSeq(), 0.0)
+
+    @pytest.mark.parametrize("support, offset", [(100, 0), (100, 5000), (2000, 0), (2000, 2000)])
+    def test_translation_invariant(self, support, offset):
+        # a random factor with mass far from 0 times (delta_0 - delta_1)^3
+        rng = np.random.default_rng(support)
+        base = 1.0 + 0.5 * (rng.standard_normal(support - 3) + 1j * rng.standard_normal(support - 3))
+        vals = np.convolve(base, [1, -3, 3, -1])
+        f = FinSeq({offset + i: v for i, v in enumerate(vals.tolist())})
+        assert vanishing_order(f, 0.0) == 3
 
     @given(nonzero_finseqs, st.integers(1, 3), st.integers(0, 2))
     def test_differences_raise_order(self, f, m, k):

@@ -86,6 +86,18 @@ class TestEval:
         for i, n in enumerate(range(-4, 5)):
             assert vals[i] == pytest.approx(eval_signal(s, n))
 
+    @pytest.mark.parametrize("lo, hi", [(-7, 5), (-1, 12), (-20, 0), (0, 3), (-9, -2), (4, 11)])
+    def test_cumsum_range_matches_definition(self, lo, hi):
+        # P phi(n) = sum_{0<j<=n} phi(j), and -sum_{n<j<=0} phi(j) for n < 0
+        inner = ExpPoly([(0.7, (1.0, 0.5j)), (2.1, (-2j,))])
+        vals = eval_signal_range(CumSum(inner), lo, hi)
+        for i, n in enumerate(range(lo, hi + 1)):
+            if n >= 0:
+                want = sum(eval_signal(inner, j) for j in range(1, n + 1))
+            else:
+                want = -sum(eval_signal(inner, j) for j in range(n + 1, 1))
+            assert abs(vals[i] - want) <= 1e-12 * (1 + abs(want))
+
 
 class TestDifference:
     def test_square_drops_to_linear(self):
