@@ -83,7 +83,6 @@ from .spectra import (
     Empty,
     EmptyCertificate,
     Finite,
-    FullCircle,
     IdealClass,
     LawCheck,
     LawReport,

@@ -37,7 +37,7 @@ from .descriptors import (
     weight_from_json,
 )
 from .diff_calculus import degree_with_witness
-from .errors import DescriptorError, WindowError
+from .errors import DescriptorError
 from .integration import boundedness_probe
 from .seq_algebra import convolve, fourier_grid, vanishing_order, weighted_norm
 from .signals import ExpPoly, Geometric, TableSignal
@@ -252,7 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DescriptorError, WindowError, ValueError) as exc:
+    except ValueError as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

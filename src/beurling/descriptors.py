@@ -18,7 +18,6 @@ from .spectra import (
     Empty,
     EmptyCertificate,
     Finite,
-    FullCircle,
     SpectrumPoint,
     SpectrumResult,
     UpperBound,
@@ -255,8 +254,6 @@ def spectrum_to_json(result: SpectrumResult) -> dict:
         return {"verdict": "finite",
                 "points": [{"t": p.angle.t, "mult": p.multiplicity}
                            for p in result.points]}
-    if isinstance(result, FullCircle):
-        return {"verdict": "fullCircle", "points": []}
     if isinstance(result, UpperBound):
         return {"verdict": "upperBound",
                 "points": [{"t": p.angle.t, "mult": p.multiplicity}
@@ -283,8 +280,6 @@ def spectrum_from_json(data: Any, where: str = "$") -> SpectrumResult:
         ))
     if verdict == "finite":
         return Finite(parsed)
-    if verdict == "fullCircle":
-        return FullCircle()
     if verdict == "upperBound":
         return UpperBound(parsed)
     raise DescriptorError(f"unknown verdict {verdict!r}", where)

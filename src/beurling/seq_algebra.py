@@ -197,7 +197,9 @@ def weighted_norm(f: FinSeq, w) -> float:
     """sum_n |f(n)| w(n) for a weight descriptor ``w``."""
     from .weights import eval_weight  # local import: weights depends on signals
 
-    return sum(abs(v) * eval_weight(w, n) for n, v in f._entries.items())
+    ns, vals = f._arrays()
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(np.sum(np.abs(vals) * eval_weight(w, ns)))
 
 
 def fourier_eval(f: FinSeq, t: float | CirclePoint, j: int = 0) -> complex:

@@ -152,7 +152,12 @@ def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
             out += np.exp(1j * term.freq.t * ns) * poly
         return out
     if isinstance(s, Geometric):
-        return s.scale * np.power(float(s.ratio), ns.astype(float))
+        # scaled part by part: a complex product turns an overflowing inf into inf+nanj
+        out = np.empty(len(ns), dtype=complex)
+        with np.errstate(over="ignore"):
+            mag = np.power(float(s.ratio), ns.astype(float))
+            out.real, out.imag = (c * mag if c else 0.0 for c in (s.scale.real, s.scale.imag))
+        return out
     if isinstance(s, TableSignal):
         if lo < s.start or hi > s.end:
             raise WindowError(
@@ -308,8 +313,7 @@ def weighted_sup(s: Signal, w, window: int) -> float:
     from .weights import eval_weight  # local import breaks the module cycle
 
     vals = np.abs(eval_signal_range(s, -window, window))
-    weights = np.array([eval_weight(w, n) for n in range(-window, window + 1)])
-    return float(np.max(vals / weights))
+    return float(np.max(vals / eval_weight(w, np.arange(-window, window + 1))))
 
 
 @dataclass(frozen=True)

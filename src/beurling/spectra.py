@@ -109,12 +109,6 @@ class Finite:
 
 
 @dataclass(frozen=True)
-class FullCircle:
-    """Reserved verdict: nothing at desk scale certifies a full circle, but
-    serialized results may carry it."""
-
-
-@dataclass(frozen=True)
 class UpperBound:
     """A certified superset of the true spectrum (finite windows cannot
     certify full annihilator ideals); never conflated with Finite."""
@@ -122,7 +116,7 @@ class UpperBound:
     points: tuple[SpectrumPoint, ...]
 
 
-SpectrumResult = Union[Empty, Finite, FullCircle, UpperBound]
+SpectrumResult = Union[Empty, Finite, UpperBound]
 
 
 @dataclass(frozen=True)
@@ -659,7 +653,7 @@ def check_calculus_laws(
 
 
 __all__ = [
-    "SpectrumPoint", "EmptyCertificate", "Empty", "Finite", "FullCircle",
+    "SpectrumPoint", "EmptyCertificate", "Empty", "Finite",
     "UpperBound", "SpectrumResult", "IdealClass", "result_points", "angles_of",
     "polynomial_circle_roots", "symbolic_spectrum", "spectrum_exppoly",
     "hull_of_generators", "spectrum_upper_bound", "classify_primary_ideal",

@@ -107,51 +107,83 @@ Verdict = Literal["holds", "fails", "inconclusive"]
 # ---------------------------------------------------------------------------
 # evaluation
 
+#: Overflow to inf, 0 * inf and log(0) are results here, not warnings.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-def eval_weight(w: WeightSpec, n: int) -> float:
-    """Evaluate the descriptor at n, exactly as it defines itself."""
+
+def eval_weight(w: WeightSpec, n):
+    """w(n) for an int or an integer array n, in value space: inf where a
+    float overflows; WindowError where n lies past the window that defines w
+    (a finite table, or a sampled signal too short for the shift)."""
+    return _within(w, n)[0]
+
+
+def log_eval_weight(w: WeightSpec, n):
+    """log w(n) as eval_weight takes it, without overflow: closed forms for
+    power, exponential and product weights, otherwise the log of the value,
+    -inf where w(n) <= 0 (an axiom violation the report surfaces)."""
+    return _within(w, n)[1]
+
+
+def _within(w: WeightSpec, n) -> tuple:
+    vals, logs, inside = _evaluate(w, n)
+    if not inside.all():
+        raise WindowError(f"n = {np.ravel(n)[~inside][0]} lies past the window of the weight")
+    return vals.reshape(np.shape(n))[()], logs.reshape(np.shape(n))[()]
+
+
+@_quiet
+def _evaluate(w: WeightSpec, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, log w, inside) at the flattened n, one dispatch for all of it;
+    past the window that defines w, inside is False and the values mean nothing."""
+    k = np.abs(np.ravel(n))  # every weight is even; ints past int64 stay Python ints
+    everywhere = np.ones(len(k), dtype=bool)
     if isinstance(w, PowerWeight):
-        return (1.0 + abs(n)) ** w.exponent
+        kf = k.astype(float)
+        return np.power(1.0 + kf, w.exponent), w.exponent * np.log1p(kf), everywhere
     if isinstance(w, ExponentialWeight):
-        return w.base ** n + w.base ** (-n)
+        kf = k.astype(float)
+        vals = np.power(w.base, kf) + np.power(w.base, -kf)
+        return vals, kf * math.log(w.base) + np.log1p(np.power(w.base, -2.0 * kf)), everywhere
+    if isinstance(w, ProductWeight):
+        lv, ll, lin = _evaluate(w.left, k)
+        rv, rl, rin = _evaluate(w.right, k)
+        return lv * rv, ll + rl, lin & rin
     if isinstance(w, TableWeight):
-        if abs(n) > w.half_window:
-            raise WindowError(f"|{n}| exceeds table half window {w.half_window}")
-        return w.values[abs(n)]
-    if isinstance(w, ProductWeight):
-        return eval_weight(w.left, n) * eval_weight(w.right, n)
-    if isinstance(w, SignalDerivedWeight):
-        return 1.0 + 0.5 * (_difference_sup(w, n) + _difference_sup(w, -n))
-    raise TypeError(f"not a weight descriptor: {w!r}")
+        inside = k <= w.half_window
+        vals = np.asarray(w.values)[np.where(inside, k, 0).astype(np.intp)]
+    elif isinstance(w, SignalDerivedWeight):
+        vals, inside = _signal_derived(w, k)
+    else:
+        raise TypeError(f"not a weight descriptor: {w!r}")
+    return vals, np.where(vals <= 0, -np.inf, np.log(vals)), inside
 
 
-def _difference_sup(w: SignalDerivedWeight, y: int) -> float:
-    """sup over the window of |phi(x + y) - phi(x)|."""
-    lo, hi = -w.sup_window, w.sup_window
-    base = eval_signal_range(w.signal, lo, hi)
-    shifted = eval_signal_range(w.signal, lo + y, hi + y)
-    return float(np.max(np.abs(shifted - base)))
+def _signal_derived(w: SignalDerivedWeight, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w_phi at |y| = k, one signal evaluation per shift y.  A shift that
+    leaves a sampled window leaves every larger one out too."""
+    s, S = w.signal, w.sup_window
+    ys, back = np.unique(k, return_inverse=True)
+    vals = np.full(len(ys), np.nan)
+    done = 0
+    try:
+        base = eval_signal_range(s, -S, S)
+        for y in ys.tolist():
+            plus, minus = (float(np.max(np.abs(eval_signal_range(s, d - S, d + S) - base)))
+                           for d in (y, -y))
+            vals[done] = 1.0 + 0.5 * (plus + minus)
+            done += 1
+    except WindowError:
+        pass
+    return vals[back], back < done
 
 
-def log_eval_weight(w: WeightSpec, n: int) -> float:
-    """log w(n), computed without overflowing for large arguments.
-
-    Returns -inf for non-positive table values (an axiom violation that the
-    report machinery surfaces separately).
-    """
-    if isinstance(w, PowerWeight):
-        return w.exponent * math.log1p(abs(n))
-    if isinstance(w, ExponentialWeight):
-        k = abs(n)
-        return k * math.log(w.base) + math.log1p(w.base ** (-2 * k))
-    if isinstance(w, ProductWeight):
-        return log_eval_weight(w.left, n) + log_eval_weight(w.right, n)
-    value = eval_weight(w, n)
-    if value <= 0:
-        return float("-inf")
-    if math.isinf(value):
-        return float("inf")
-    return math.log(value)
+def _orbit_logs(w: WeightSpec, x: int, first: int, last: int) -> np.ndarray:
+    """log w(m x) for m = first..last, stopping before the first m x past
+    the window that defines w (a finite table, or a short sampled signal)."""
+    dtype = np.int64 if abs(x) * last < 2 ** 63 else object  # exact Python ints past int64
+    _, logs, inside = _evaluate(w, np.arange(first, last + 1, dtype=dtype) * x)
+    return logs[: int(np.logical_and.accumulate(inside).sum())]
 
 
 # ---------------------------------------------------------------------------
@@ -185,35 +217,34 @@ class WeightReport:
     growth: Optional[GrowthClass] = None
 
 
+@_quiet
 def check_weight_axioms(w: WeightSpec, window: int) -> WeightReport:
     """Verify w >= 1 and submultiplicativity on |n|, |m|, |n+m| <= window.
 
     Violations are data, not exceptions: each is reported as
-    (n, m, description), with m = 0 rows marking pointwise w(n) < 1.
+    (n, m, description), with m = 0 rows marking pointwise w(n) < 1.  Points
+    past a table's window are skipped.  Submultiplicativity is decided in log
+    space, so weights past the float range are checked too.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    table: dict[int, float] = {}
-    violations: list[tuple[int, int, str]] = []
-    for n in range(-window, window + 1):
-        try:
-            table[n] = eval_weight(w, n)
-        except WindowError:
-            continue
-    for n, v in sorted(table.items()):
-        if not v >= 1.0:
-            violations.append((n, 0, f"w({n}) = {v} < 1"))
-    for n in range(-window, window + 1):
-        if n not in table:
-            continue
-        for m in range(n, window + 1):  # (n, m) unordered: w is evaluated symmetrically
-            if m not in table or not -window <= n + m <= window or (n + m) not in table:
-                continue
-            lhs, rhs = table[n + m], table[n] * table[m]
-            if lhs > rhs * (1.0 + SUBMULT_TOL):
-                violations.append(
-                    (n, m, f"w({n}+{m}) = {lhs} > w({n})w({m}) = {rhs}")
-                )
+    ns = np.arange(-window, window + 1)
+    vals, logs, inside = _evaluate(w, ns)
+    low = inside & ~(vals >= 1.0)
+    violations = [(int(n), 0, f"w({n}) = {float(v)} < 1") for n, v in zip(ns[low], vals[low])]
+    slack = math.log1p(SUBMULT_TOL)
+    for n in ns[inside & (2 * ns <= window)].tolist():
+        # one row: the unordered pairs m >= n with |m|, |n + m| <= window (none once 2n > window)
+        lo, hi = max(n, -window - n), window - max(n, 0)
+        ms, sums = slice(lo + window, hi + window + 1), slice(n + lo + window, n + hi + window + 1)
+        a, la = vals[n + window], logs[n + window]
+        b, lb, c, lc = vals[ms], logs[ms], vals[sums], logs[sums]
+        # a log of -inf drops the sign of a value <= 0: such pairs compare values
+        over = np.where((a > 0) & (b > 0) & (c > 0), lc > la + lb + slack,
+                        c > a * b * (1.0 + SUBMULT_TOL))
+        for j in np.flatnonzero(over & inside[ms] & inside[sums]).tolist():
+            m, lhs, rhs = lo + j, float(c[j]), float(a * b[j])
+            violations.append((n, m, f"w({n}+{m}) = {lhs} > w({n})w({m}) = {rhs}"))
     return WeightReport(axioms_ok=not violations, violations=tuple(violations))
 
 
@@ -221,31 +252,14 @@ def check_weight_axioms(w: WeightSpec, window: int) -> WeightReport:
 # convergence and growth probes
 
 
-def _log_weight_terms(w: WeightSpec, x: int, M: int) -> list[float]:
-    """Terms log w(m x) / m^2 for m = 1..M, truncating at finite-table edges."""
-    terms = []
-    for m in range(1, M + 1):
-        try:
-            lw = log_eval_weight(w, m * x)
-        except WindowError:
-            break
-        terms.append(lw / (m * m))
-    return terms
+def _trace(values: np.ndarray) -> tuple[tuple[int, float], ...]:
+    """(m, values[m - 1]) at the checkpoints m = 1, 2, 4, ... and the last m."""
+    M = len(values)
+    ms = sorted({min(M, 2 ** k) for k in range(int(math.log2(M)) + 2)} | {1, M}) if M else []
+    return tuple((m, float(values[m - 1])) for m in ms)
 
 
-def _checkpoints(M: int) -> list[int]:
-    if M < 1:
-        return []
-    pts = sorted({min(M, 2 ** k) for k in range(int(math.log2(M)) + 2)} | {1, M})
-    return [p for p in pts if p >= 1]
-
-
-def _tail_slope(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope; inf-safe inputs are filtered by the caller."""
-    A = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
-    return float(A[0])
-
-
+@_quiet
 def check_beurling_domar(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
     """Probe convergence of sum_{m>=1} log w(m x) / m^2 along the orbit of x.
 
@@ -266,41 +280,37 @@ def check_beurling_domar(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
         raise ValueError("orbit direction x must be non-zero")
     if M < 10:
         raise ValueError("need at least 10 terms")
-    terms = _log_weight_terms(w, x, M)
-    sums = np.cumsum(terms) if terms else np.array([])
-    trace = tuple(
-        (m, float(sums[m - 1])) for m in _checkpoints(len(terms)) if m <= len(terms)
-    )
-    if len(terms) < 10:
+    logs = _orbit_logs(w, x, 1, M)
+    top = len(logs)
+    ms = np.arange(1, top + 1)
+    terms = logs / ms ** 2
+    trace = _trace(np.cumsum(terms))
+    if top < 10:
         return ConvergenceVerdict("inconclusive", trace)
-    if any(math.isinf(t) or math.isnan(t) for t in terms):
+    if not np.isfinite(terms).all():
         return ConvergenceVerdict("fails", trace)
-    peak = max(terms)
+    peak = terms.max()
     if peak <= 1e-15:
         return ConvergenceVerdict("holds", trace)
 
-    top = len(terms)
-    tail = range(max(1, top // 10), top + 1)
-    tail_terms = [(m, terms[m - 1]) for m in tail]
+    tail = slice(max(1, top // 10) - 1, top)
+    tail_m, tail_t = ms[tail], terms[tail]
 
     # divergence: log w(mx)/m bounded below and flat, like a harmonic tail
-    b = [(m, m * t) for m, t in tail_terms]
-    b_first, b_last = b[0][1], b[-1][1]
-    b_min = min(v for _, v in b)
-    if b_min >= 1e-3 and b_first > 0 and (b_first - b_last) / b_first < 0.10:
+    b = tail_m * tail_t
+    if b.min() >= 1e-3 and b[0] > 0 and (b[0] - b[-1]) / b[0] < 0.10:
         return ConvergenceVerdict("fails", trace)
 
     # convergence: clear power-law decay with exponent safely above 1
-    positive = [(m, t) for m, t in tail_terms if t > 0]
-    if len(positive) >= 3:
-        slope = _tail_slope(
-            [math.log(m) for m, _ in positive], [math.log(t) for _, t in positive]
-        )
+    positive = tail_t > 0
+    if positive.sum() >= 3:
+        slope = np.polyfit(np.log(tail_m[positive]), np.log(tail_t[positive]), 1)[0]
         if slope <= -1.1 and terms[-1] <= 1e-3 * peak:
             return ConvergenceVerdict("holds", trace)
     return ConvergenceVerdict("inconclusive", trace)
 
 
+@_quiet
 def check_subquadratic(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
     """Probe the decay w(m x)/m^2 -> 0 used by the difference-derived weights.
 
@@ -311,19 +321,14 @@ def check_subquadratic(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
         raise ValueError("orbit direction x must be non-zero")
     if M < 10:
         raise ValueError("need at least 10 terms")
-    vals = []
-    for m in range(1, M + 1):
-        try:
-            lw = log_eval_weight(w, m * x)
-        except WindowError:
-            break
-        vals.append(math.exp(lw - 2.0 * math.log(m)) if math.isfinite(lw) else float("inf"))
-    trace = tuple((m, vals[m - 1]) for m in _checkpoints(len(vals)) if m <= len(vals))
-    if len(vals) < 10:
+    logs = _orbit_logs(w, x, 1, M)
+    top = len(logs)
+    vals = np.where(np.isfinite(logs), np.exp(logs - 2.0 * np.log(np.arange(1, top + 1))), np.inf)
+    trace = _trace(vals)
+    if top < 10:
         return ConvergenceVerdict("inconclusive", trace)
-    top = len(vals)
     tail = vals[max(0, top // 10 - 1):]
-    nonincreasing = all(b <= a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
+    nonincreasing = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + 1e-12)))
     if nonincreasing and tail[-1] < 1e-2:
         return ConvergenceVerdict("holds", trace)
     if tail[-1] > tail[0] * (1.0 + 1e-9) and tail[-1] > 1e-2:
@@ -331,6 +336,7 @@ def check_subquadratic(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
     return ConvergenceVerdict("inconclusive", trace)
 
 
+@_quiet
 def classify_growth(w: WeightSpec, n_max: int, window: int) -> Optional[GrowthClass]:
     """Largest N <= n_max with an admissible polynomial sandwich on the window.
 
@@ -343,33 +349,30 @@ def classify_growth(w: WeightSpec, n_max: int, window: int) -> Optional[GrowthCl
         raise ValueError("n_max must be >= 0")
     if window < 10:
         raise ValueError("window must be >= 10")
-    logs: dict[int, float] = {}
-    for m in range(window + 1):
-        try:
-            logs[m] = log_eval_weight(w, m)
-        except WindowError:
-            break
-    top = max(logs)
+    logs = _orbit_logs(w, 1, 0, window)
+    if not len(logs):
+        raise WindowError("the weight is not defined at 0")
+    top = len(logs) - 1
     if top < 10:
         return None
-    tail = [m for m in range(max(1, top // 10), top + 1) if math.isfinite(logs[m])]
+    ms = np.arange(top + 1, dtype=float)
+    full = np.isfinite(logs)
+    tail = np.flatnonzero(full[max(1, top // 10):]) + max(1, top // 10)
     if len(tail) < 3:
         return None
-    log_m = [math.log(m) for m in tail]
+    log_m = np.log(ms[tail])
 
     alphas = [0.5] + [a / 10 for a in range(1, 10) if a != 5]
     for N in range(n_max, -1, -1):
-        lower = [logs[m] - math.log1p(m ** N) for m in tail]
-        if not all(map(math.isfinite, lower)) or _tail_slope(log_m, lower) < -0.1:
+        lower = logs - np.log1p(ms ** N)
+        if not np.isfinite(lower[tail]).all() or np.polyfit(log_m, lower[tail], 1)[0] < -0.1:
             continue
         for alpha in alphas:
-            upper = [logs[m] - math.log1p(m ** (N + alpha)) for m in tail]
-            if _tail_slope(log_m, upper) > 0.1:
+            upper = logs - np.log1p(ms ** (N + alpha))
+            if np.polyfit(log_m, upper[tail], 1)[0] > 0.1:
                 continue
-            full = [m for m in logs if math.isfinite(logs[m])]
-            c1 = math.exp(min(logs[m] - math.log1p(m ** N) for m in full))
-            c2 = math.exp(max(logs[m] - math.log1p(m ** (N + alpha)) for m in full))
-            return GrowthClass(N=N, alpha=alpha, c1=c1, c2=c2)
+            c1, c2 = np.exp(lower[full].min()), np.exp(upper[full].max())
+            return GrowthClass(N=N, alpha=alpha, c1=float(c1), c2=float(c2))
     return None
 
 

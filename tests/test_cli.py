@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beurling.cli import main
 from beurling.descriptors import signal_to_json, weight_to_json
@@ -19,6 +21,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 class TestWeightCheck:
@@ -40,6 +46,14 @@ class TestWeightCheck:
         assert code == 0 and report["growth"]["N"] == 1
 
 
+    def test_overflowing_weight_checks_in_log_space(self, tmp_path, capsys):
+        # 2^n + 2^-n overflows a float from n = 1024 on
+        path = write(tmp_path, "w.json", {"kind": "exponential", "base": 2})
+        code, out = run(capsys, "weight", "check", "--weight", path, "--window", "1100")
+        assert code == 0
+        assert json.loads(out, parse_constant=_reject)["axiomsOk"] is True
+
+
 class TestSeq:
     def test_norm(self, tmp_path, capsys):
         seq = write(tmp_path, "f.json", {"entries": [[-1, 2, 0], [1, -0.5, 0]]})
@@ -47,6 +61,12 @@ class TestSeq:
         code, out = run(capsys, "seq", "norm", "--seq", seq, "--weight", w)
         assert code == 0
         assert json.loads(out)["norm"] == pytest.approx(6.25)
+
+    def test_overflowing_norm_is_an_input_error(self, tmp_path, capsys):
+        seq = write(tmp_path, "f.json", {"entries": [[0, 1, 0], [2000, 1, 0]]})
+        w = write(tmp_path, "w.json", {"kind": "exponential", "base": 2})
+        code, out = run(capsys, "seq", "norm", "--seq", seq, "--weight", w)
+        assert (code, out) == (1, "")
 
     def test_ft_csv(self, tmp_path, capsys):
         seq = write(tmp_path, "f.json", {"entries": [[-1, 2, 0], [1, -0.5, 0]]})
@@ -208,3 +228,57 @@ class TestErrorPaths:
                     {"entries": [[-5, 1, 0], [5, 1, 0]]})
         code, _ = run(capsys, "spectrum", "--signal", sig, "--gens", gen)
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed weights: whatever the descriptor, the CLI answers with strict JSON
+# (exit 0) or an input error and nothing on stdout (exit 1), never a crash
+
+small = st.floats(-10, 10, allow_nan=False)
+pairs = st.tuples(small, small).map(list)
+signal_descriptors = st.one_of(
+    st.builds(lambda t, cs: {"kind": "expPoly", "terms": [{"t": t, "coeffs": cs}]},
+              st.floats(0, 6.28), st.lists(pairs, min_size=1, max_size=3)),
+    st.builds(lambda r, c: {"kind": "geometric", "ratio": r, "scale": c},
+              st.floats(0.1, 4), pairs),
+    st.builds(lambda start, vs: {"kind": "table", "start": start, "values": vs},
+              st.integers(-30, 0), st.lists(pairs, min_size=1, max_size=60)),
+)
+weight_leaves = st.one_of(
+    st.builds(lambda a: {"kind": "power", "a": a}, st.floats(0, 50)),
+    st.builds(lambda b: {"kind": "exponential", "base": b}, st.floats(1.0001, 10)),
+    st.integers(0, 12).flatmap(lambda h: st.builds(
+        lambda vs: {"kind": "table", "halfWindow": h, "values": vs},
+        st.lists(st.one_of(st.sampled_from([0.0, -1.0]), st.floats(-5, 1e300)),
+                 min_size=h + 1, max_size=h + 1))),
+    st.builds(lambda sig, k: {"kind": "signalDerived", "signal": sig, "supWindow": k},
+              signal_descriptors, st.integers(0, 8)),
+)
+weight_descriptors = st.recursive(
+    weight_leaves,
+    lambda inner: st.builds(lambda l, r: {"kind": "product", "left": l, "right": r}, inner, inner),
+    max_leaves=3,
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+# run() drains capsys after every call, so sharing the fixture across examples is safe
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weight_descriptors, st.integers(1, 8), st.integers(10, 40),
+       st.lists(st.tuples(st.integers(-5000, 5000), st.floats(-1e300, 1e300), small).map(list),
+                max_size=4))
+def test_fuzzed_weights_keep_the_exit_code_contract(tmp_path_factory, capsys,
+                                                    w, window, terms, entries):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    wpath = write(tmp, "w.json", w)
+    seq = write(tmp, "f.json", {"entries": entries})
+    for argv in (["weight", "check", "--weight", wpath,
+                  "--window", str(window), "--terms", str(terms)],
+                 ["seq", "norm", "--seq", seq, "--weight", wpath]):
+        code, out = run(capsys, *argv)
+        assert code in (0, 1), argv
+        if code == 0:
+            json.loads(out, parse_constant=_reject)
+        else:
+            assert out == ""

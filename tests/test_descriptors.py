@@ -19,7 +19,6 @@ from beurling.signals import CumSum, ExpPoly, Geometric, TableSignal
 from beurling.spectra import (
     Empty,
     Finite,
-    FullCircle,
     SpectrumPoint,
     UpperBound,
     hull_of_generators,
@@ -76,7 +75,6 @@ class TestRoundTrips:
     @pytest.mark.parametrize("result", [
         Finite((SpectrumPoint(CirclePoint(0.5), 2),)),
         UpperBound((SpectrumPoint(CirclePoint(1.0), 1),)),
-        FullCircle(),
         hull_of_generators([FinSeq({-1: 2, 1: -0.5})]),  # Empty + certificate
     ], ids=lambda r: type(r).__name__)
     def test_spectrum_results(self, result):
@@ -110,6 +108,10 @@ class TestErrors:
     def test_validation_error_carries_location(self):
         with pytest.raises(DescriptorError):
             weight_from_json({"kind": "exponential", "base": 0.5})
+
+    def test_full_circle_verdict_is_unknown(self):
+        with pytest.raises(DescriptorError, match="fullCircle"):
+            spectrum_from_json({"verdict": "fullCircle", "points": []})
 
     def test_finseq_offset_must_be_int(self):
         with pytest.raises(DescriptorError):

@@ -54,6 +54,15 @@ class TestEval:
     def test_geometric(self):
         assert eval_signal(Geometric(2), 3) == pytest.approx(8.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, -2j, 1 - 1j])
+    def test_geometric_overflow_is_signed_inf(self, scale):
+        vals = eval_signal_range(Geometric(2, scale), -2000, 2000)
+        assert not np.isnan(vals.real).any() and not np.isnan(vals.imag).any()
+        top = vals[-1]
+        assert (np.sign(top.real), np.sign(top.imag)) == (np.sign(scale.real), np.sign(scale.imag))
+        assert np.isinf(abs(top)) and vals[2000] == scale
+
     def test_exppoly_linear(self):
         assert eval_signal(linear(), 5) == pytest.approx(5.0)
 
