@@ -27,6 +27,10 @@ from .errors import WindowError
 
 Vector = tuple[int, ...]
 
+#: Most sign directions, or witness-grid points, built for one polynomial
+#: (``verify thm-3.4`` needs 6^3); larger sets are refused unallocated.
+MAX_PROBES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class LatticePoly:
@@ -155,6 +159,8 @@ Lattice = Union[LatticePoly, GridSignal]
 
 def probe_directions(dim: int) -> list[Vector]:
     """Standard basis plus all sign vectors: cheap early witnesses."""
+    if dim >= MAX_PROBES.bit_length():
+        raise ValueError(f"2^{dim} sign directions are above {MAX_PROBES}")
     dirs = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     signs: list[Vector] = [()]
     for _ in range(dim):
@@ -170,6 +176,8 @@ def probe_directions(dim: int) -> list[Vector]:
 def witness_grid(dim: int, bound: int) -> list[Vector]:
     """The grid {1..bound+1}^dim: a nonzero polynomial of per-variable degree
     <= bound cannot vanish on it, so it certifies degree decisions."""
+    if bound > 0 and (dim >= MAX_PROBES.bit_length() or (bound + 1) ** dim > MAX_PROBES):
+        raise ValueError(f"the witness grid's {bound + 1}^{dim} points are above {MAX_PROBES}")
     pts: list[Vector] = [()]
     for _ in range(dim):
         pts = [p + (v,) for p in pts for v in range(1, bound + 2)]
@@ -218,6 +226,8 @@ def degree_with_witness(
     input; (None, None) when a sampled grid never flattens before its
     window is exhausted.
     """
+    if not tol >= 0:
+        raise ValueError("tolerance must be >= 0")
     scale = _scale_of(phi)
     if _lattice_is_zero(phi, tol, scale):
         return -1, None
@@ -251,9 +261,9 @@ def degree_with_witness(
         if not vanished:
             if isinstance(phi, GridSignal):
                 return None, None  # cascade never flattened on this window
-            raise RuntimeError(
-                f"difference cascade along {y} did not terminate"
-            )  # unreachable for polynomials
+            # each difference drops the degree exactly, unless a coefficient is inf or nan
+            raise ValueError(f"difference cascade along {y} did not vanish: "
+                             "its coefficients are not finite")
         if k > best_order:
             best_order, witness = k, y
     return best_order - 1, witness

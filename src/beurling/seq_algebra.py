@@ -216,6 +216,8 @@ def fourier_eval(f: FinSeq, t: float | CirclePoint, j: int = 0) -> complex:
 def fourier_grid(f: FinSeq, points: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Transform sampled on the uniform grid t_k = 2 pi k / points: offsets
     are folded mod ``points`` in exact integers, then one FFT."""
+    if points < 1:
+        raise ValueError("the grid needs at least one point")
     t = 2.0 * math.pi * np.arange(points) / points
     ns, vals = f._arrays()
     folded = np.zeros(points, dtype=complex)
@@ -238,19 +240,22 @@ def vanishing_order(f: FinSeq, t: float | CirclePoint, tol: float = 1e-9) -> int
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     tt = t.t if isinstance(t, CirclePoint) else float(t)
+    if not math.isfinite(tt):
+        raise ValueError(f"the circle point must be a finite angle, got {tt}")
     ns, vals = f._arrays()
     rel = np.array([n - ns[0] for n in ns], dtype=float)
     dist = rel - rel[-1] / 2
     terms = vals * np.exp(-1j * rel * tt)  # |e^{-i lo t}| = 1 drops out
     weights = np.abs(vals)
-    for j in range(ns[-1] - ns[0] + 1):
-        scale = float(np.sum(weights))
-        if not math.isfinite(scale):
-            break
-        if abs(np.sum(terms)) > tol * scale:
-            return j
-        terms = terms * dist
-        weights = weights * (1 + np.abs(dist))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing scale ends the test
+        for j in range(ns[-1] - ns[0] + 1):
+            scale = float(np.sum(weights))
+            if not math.isfinite(scale):
+                break
+            if abs(np.sum(terms)) > tol * scale:
+                return j
+            terms = terms * dist
+            weights = weights * (1 + np.abs(dist))
     raise ValueError(
         "transform vanishes to every testable order; sequence is "
         "numerically indistinguishable from zero at this point"

@@ -6,9 +6,9 @@ it.  At desk scale this module computes:
 
 * exact spectra of exponential polynomials (the frequency set, with the
   polynomial degree + 1 as multiplicity);
-* hulls of finitely generated ideals, by locating unit-circle roots of the
-  generators' transforms (companion-matrix eigenvalues, cluster for
-  multiple roots, Newton-polish, intersect across generators);
+* hulls of finitely generated ideals: the shortest generator's unit-circle
+  roots propose angles, and `vanishing_order` keeps those where every
+  generator's transform vanishes;
 * certified *upper bounds* for spectra of sampled windows, which can never
   promise more than "the true spectrum is contained in this set";
 * the classification of derivative-vanishing primary ideals at the unit
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import (
     AnnihilationError,
@@ -70,10 +71,10 @@ UNIMODULAR_TOL = 1e-8
 HANKEL_NULL_REL = 1e-10
 
 #: Companion-matrix eigenvalues within this distance are taken to
-#: approximate one multiple root.  Standard double-precision scatter of an
-#: m-fold root is eps^(1/m), so this is safe for multiplicities up to ~5;
-#: genuinely distinct roots closer than this are outside the supported
-#: regime.
+#: approximate one multiple root.  An m-fold root scatters by about
+#: eps^(1/m) times the polynomial's conditioning, which exceeds this radius
+#: from multiplicity 4 on at supports in the hundreds (see the README);
+#: genuinely distinct roots closer than this are outside the supported regime.
 ROOT_CLUSTER_RADIUS = 1e-3
 
 
@@ -138,7 +139,7 @@ def result_points(result: SpectrumResult) -> tuple[SpectrumPoint, ...]:
         return result.points
     if isinstance(result, Empty):
         return ()
-    raise ValueError("full-circle verdicts have no point list")
+    raise ValueError(f"not a spectrum result: {type(result).__name__}")
 
 
 def angles_of(result: SpectrumResult) -> tuple[float, ...]:
@@ -152,20 +153,6 @@ def _near_any(t: float, angles) -> bool:
 
 # ---------------------------------------------------------------------------
 # polynomial root machinery
-
-
-def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    # low-order-first coefficients
-    if len(coeffs) <= 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, len(coeffs))
-
-
-def _poly_value(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
 
 
 def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
@@ -190,14 +177,12 @@ def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
 
 def _refine_root(coeffs: np.ndarray, z0: complex, mult: int) -> complex:
     """Newton on the (mult-1)-th derivative, where the root is simple."""
-    d = coeffs
-    for _ in range(mult - 1):
-        d = _poly_derivative(d)
-    dd = _poly_derivative(d)
+    d = P.polyder(coeffs, mult - 1)
+    dd = P.polyder(d)
     z = z0
     for _ in range(8):
-        fz = _poly_value(d, z)
-        dz = _poly_value(dd, z)
+        fz = P.polyval(z, d)
+        dz = P.polyval(z, dd)
         if dz == 0:
             break
         step = fz / dz
@@ -216,7 +201,8 @@ def polynomial_circle_roots(
 
     Companion-matrix eigenvalues, clustered to recover multiple roots,
     refined by Newton steps on the appropriate derivative, then filtered by
-    ||z| - 1| < unimod_tol.
+    ||z| - 1| < unimod_tol.  Centres that refinement (moving them by at most
+    2 * ROOT_CLUSTER_RADIUS) cannot bring to the circle are not refined.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
@@ -235,24 +221,15 @@ def polynomial_circle_roots(
     if len(c) <= 1:
         return []
     raw = np.roots(c[::-1])
+    reach = 2 * ROOT_CLUSTER_RADIUS + unimod_tol
     out = []
     for center, mult in _cluster_roots(raw):
+        if abs(abs(center) - 1.0) > reach:
+            continue
         z = _refine_root(c, center, mult)
         if abs(abs(z) - 1.0) < unimod_tol:
             out.append((z, mult))
     return out
-
-
-def _transform_circle_roots(f: FinSeq, unimod_tol: float) -> list[tuple[float, int]]:
-    """Angles (with multiplicities) where the transform of f vanishes.
-
-    Substituting u = e^{-it} turns the transform into u^{min supp} times an
-    algebraic polynomial in u; the angle of a root u is t = -arg u.
-    """
-    return [
-        ((-cmath.phase(z)) % (2 * math.pi), mult)
-        for z, mult in polynomial_circle_roots(f._dense()[1], unimod_tol)
-    ]
 
 
 def _empty_certificate(gens: Sequence[FinSeq], grid: int = 4096) -> EmptyCertificate:
@@ -312,26 +289,27 @@ def hull_of_generators(
 ) -> SpectrumResult:
     """Common unit-circle zero set of the generators' transforms.
 
-    Root angles are matched across generators within the global angular
-    tolerance; the multiplicity of a common root is the smallest vanishing
-    order among the generators.  An empty intersection returns Empty with a
-    positivity certificate.
+    The unit-circle roots of the generator with the shortest support span
+    propose candidate angles; a candidate t is in the hull exactly when
+    every generator's transform vanishes there, and its multiplicity is
+    min(vanishing_order(f, t) for f in gens).  When no candidate survives
+    the result is Empty with a positivity certificate.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     if any(not f for f in gens):
         raise ValueError("zero generator is not allowed")
-    common: Optional[list[float]] = None
-    for f in gens:
-        angles = [t for t, _ in _transform_circle_roots(f, tol)]
-        common = angles if common is None else [t for t in common if _near_any(t, angles)]
-        if not common:
-            return Empty(_empty_certificate(gens, certificate_grid))
+    shortest = min(gens, key=lambda f: f.support()[1] - f.support()[0])
+    # with u = e^{-it} the transform is u^{min supp} times a polynomial in u
+    roots = polynomial_circle_roots(shortest._dense()[1], tol)
     points = []
-    for t in sorted(common):
+    for t in sorted((-cmath.phase(z)) % (2 * math.pi) for z, _ in roots):
         mult = min(vanishing_order(f, t) for f in gens)
-        points.append(SpectrumPoint(CirclePoint(t), max(mult, 1)))
+        if mult >= 1:
+            points.append(SpectrumPoint(CirclePoint(t), mult))
+    if not points:
+        return Empty(_empty_certificate(gens, certificate_grid))
     return Finite(tuple(points))
 
 

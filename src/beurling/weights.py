@@ -223,13 +223,16 @@ def check_weight_axioms(w: WeightSpec, window: int) -> WeightReport:
 
     Violations are data, not exceptions: each is reported as
     (n, m, description), with m = 0 rows marking pointwise w(n) < 1.  Points
-    past a table's window are skipped.  Submultiplicativity is decided in log
-    space, so weights past the float range are checked too.
+    past a table's window are skipped (WindowError if that is all of them).
+    Submultiplicativity is decided in log space, so weights past the float
+    range are checked too.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     ns = np.arange(-window, window + 1)
     vals, logs, inside = _evaluate(w, ns)
+    if not inside.any():
+        raise WindowError(f"the weight is defined nowhere on [-{window}, {window}]")
     low = inside & ~(vals >= 1.0)
     violations = [(int(n), 0, f"w({n}) = {float(v)} < 1") for n, v in zip(ns[low], vals[low])]
     slack = math.log1p(SUBMULT_TOL)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from beurling.cli import main
 from beurling.descriptors import signal_to_json, weight_to_json
 from beurling.signals import ExpPoly, Geometric, TableSignal, sample_signal
-from beurling.weights import ExponentialWeight, PowerWeight
+from beurling.weights import ExponentialWeight, PowerWeight, SignalDerivedWeight
 
 
 def write(tmp_path, name, payload):
@@ -45,6 +45,11 @@ class TestWeightCheck:
         report = json.loads(out)
         assert code == 0 and report["growth"]["N"] == 1
 
+    def test_weight_defined_nowhere_is_an_input_error(self, tmp_path, capsys):
+        signal = sample_signal(ExpPoly([(0.0, (0, 1))]), 0, 30)
+        path = write(tmp_path, "w.json", weight_to_json(SignalDerivedWeight(signal, 10)))
+        code, out = run(capsys, "weight", "check", "--weight", path, "--window", "5")
+        assert (code, out) == (1, "")
 
     def test_overflowing_weight_checks_in_log_space(self, tmp_path, capsys):
         # 2^n + 2^-n overflows a float from n = 1024 on
@@ -140,6 +145,15 @@ class TestDegreeCommand:
         assert code == 0 and payload["degree"] == 2
         assert payload["witness"] is not None
 
+    @pytest.mark.parametrize("payload", [
+        {"dim": 3, "coeffs": [[[3, 0, 3], -1e300, 0], [[1, 1, 0], 1, 0]]},
+        {"dim": 40, "coeffs": [[[1] + [0] * 39, 1, 0]]},
+        {"dim": 2, "coeffs": [[[1000000, 0], 1, 0]]},
+    ])
+    def test_overflow_or_oversized_probe_set_is_an_input_error(self, tmp_path, capsys, payload):
+        code, out = run(capsys, "degree", "--poly", write(tmp_path, "p.json", payload))
+        assert (code, out) == (1, "")
+
 
 class TestDecompose:
     def test_round_trip(self, tmp_path, capsys):
@@ -231,7 +245,7 @@ class TestErrorPaths:
 
 
 # ---------------------------------------------------------------------------
-# fuzzed weights: whatever the descriptor, the CLI answers with strict JSON
+# fuzzed descriptors: whatever the input, the CLI answers with strict JSON
 # (exit 0) or an input error and nothing on stdout (exit 1), never a crash
 
 small = st.floats(-10, 10, allow_nan=False)
@@ -261,10 +275,22 @@ weight_descriptors = st.recursive(
 )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+def assert_contract(capsys, *argv):
+    """Exit 0 with strict JSON on stdout, or exit 1 with nothing on it."""
+    code, out = run(capsys, *argv)
+    assert code in (0, 1), argv
+    if code == 0:
+        json.loads(out, parse_constant=_reject)
+    else:
+        assert out == ""
+
+
 # run() drains capsys after every call, so sharing the fixture across examples is safe
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+fuzz_settings = settings(max_examples=40, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@fuzz_settings
 @given(weight_descriptors, st.integers(1, 8), st.integers(10, 40),
        st.lists(st.tuples(st.integers(-5000, 5000), st.floats(-1e300, 1e300), small).map(list),
                 max_size=4))
@@ -273,12 +299,56 @@ def test_fuzzed_weights_keep_the_exit_code_contract(tmp_path_factory, capsys,
     tmp = tmp_path_factory.mktemp("fuzz")
     wpath = write(tmp, "w.json", w)
     seq = write(tmp, "f.json", {"entries": entries})
-    for argv in (["weight", "check", "--weight", wpath,
-                  "--window", str(window), "--terms", str(terms)],
-                 ["seq", "norm", "--seq", seq, "--weight", wpath]):
-        code, out = run(capsys, *argv)
-        assert code in (0, 1), argv
-        if code == 0:
-            json.loads(out, parse_constant=_reject)
-        else:
-            assert out == ""
+    assert_contract(capsys, "weight", "check", "--weight", wpath,
+                    "--window", str(window), "--terms", str(terms))
+    assert_contract(capsys, "seq", "norm", "--seq", seq, "--weight", wpath)
+
+
+# Offsets stay within a few hundred so that hulls (a dense eigen-solve over
+# the support span) stay cheap, and multi-indices at most 2 so that degree
+# probes at most 7^3 witness points; values reach the float range.
+huge = st.one_of(small, st.floats(-1e300, 1e300), st.sampled_from([0.0, 1e-300]))
+seq_descriptors = st.builds(
+    lambda rows: {"entries": rows},
+    st.lists(st.tuples(st.integers(-300, 300), huge, huge).map(list), max_size=8))
+short_seq_descriptors = st.builds(
+    lambda rows: {"entries": rows},
+    st.lists(st.tuples(st.integers(-6, 6), small, small).map(list), min_size=1, max_size=5))
+poly_descriptors = st.integers(1, 3).flatmap(lambda dim: st.builds(
+    lambda rows: {"dim": dim, "coeffs": rows},
+    st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=dim, max_size=dim), huge, small)
+             .map(list), max_size=5)))
+
+
+@fuzz_settings
+@given(seq_descriptors, seq_descriptors, st.integers(-2, 64),
+       st.one_of(st.floats(-10, 10), st.sampled_from([float("nan"), float("inf")])),
+       st.sampled_from(["1e-9", "1e-3", "0", "-1"]))
+def test_fuzzed_sequences_keep_the_exit_code_contract(tmp_path_factory, capsys,
+                                                      f, g, grid, t, tol):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    fpath, gpath = write(tmp, "f.json", f), write(tmp, "g.json", g)
+    assert_contract(capsys, "seq", "ft", "--seq", fpath, f"--grid={grid}")
+    assert_contract(capsys, "seq", "order", "--seq", fpath, f"--t={t}", f"--tol={tol}")
+    assert_contract(capsys, "seq", "convolve", "--seq", fpath, "--with", gpath)
+
+
+@fuzz_settings
+@given(signal_descriptors, st.lists(short_seq_descriptors, min_size=1, max_size=2),
+       st.lists(st.integers(-10, 3000), min_size=1, max_size=4),
+       st.integers(0, 4), st.integers(-1, 3))
+def test_fuzzed_signals_keep_the_exit_code_contract(tmp_path_factory, capsys,
+                                                    sig, gens, windows, kmax, nmax):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    spath = write(tmp, "s.json", sig)
+    gpaths = ",".join(write(tmp, f"g{i}.json", g) for i, g in enumerate(gens))
+    assert_contract(capsys, "spectrum", "--signal", spath, "--gens", gpaths)
+    assert_contract(capsys, "integrate", "--signal", spath, f"--probe={','.join(map(str, windows))}")
+    assert_contract(capsys, "decompose", "--signal", spath, f"--kmax={kmax}", f"--nmax={nmax}")
+
+
+@fuzz_settings
+@given(poly_descriptors, st.sampled_from(["1e-9", "0", "-1"]))
+def test_fuzzed_lattice_polys_keep_the_exit_code_contract(tmp_path_factory, capsys, poly, tol):
+    path = write(tmp_path_factory.mktemp("fuzz"), "p.json", poly)
+    assert_contract(capsys, "degree", "--poly", path, f"--tol={tol}")

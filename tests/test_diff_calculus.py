@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from beurling.diff_calculus import (
+    MAX_PROBES,
     GridSignal,
     LatticePoly,
     default_probes,
@@ -116,6 +119,27 @@ class TestDegree:
         for y in probe_directions(2):
             assert p.evaluate(tuple(4 * c for c in y)) == 0
         assert degree(p) == 4
+
+    def test_probe_sets_in_use_fit_the_bound(self):
+        assert len(witness_grid(3, 5)) == 6 ** 3 <= MAX_PROBES // 64
+        assert len(probe_directions(10)) == 10 + 2 ** 10
+
+    @pytest.mark.parametrize("build", [lambda: witness_grid(3, 10 ** 6),
+                                       lambda: witness_grid(10 ** 6, 1),
+                                       lambda: probe_directions(10 ** 6)])
+    def test_oversized_probe_sets_refused_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_oversized_witness_grid_refused_by_degree(self):
+        with pytest.raises(ValueError, match="witness grid"):
+            degree(LatticePoly(2, {(10 ** 6, 0): 1}))
 
     def test_two_dimensional_grid(self):
         xs = np.arange(-8, 9)

@@ -54,7 +54,6 @@ class TestEval:
     def test_geometric(self):
         assert eval_signal(Geometric(2), 3) == pytest.approx(8.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1.0, -2j, 1 - 1j])
     def test_geometric_overflow_is_signed_inf(self, scale):
         vals = eval_signal_range(Geometric(2, scale), -2000, 2000)

