@@ -27,8 +27,7 @@ from .errors import WindowError
 
 Vector = tuple[int, ...]
 
-#: Most sign directions, or witness-grid points, built for one polynomial
-#: (``verify thm-3.4`` needs 6^3); larger sets are refused unallocated.
+#: Largest probe set (sign directions or witness-grid points) ever built; thm-3.4 needs 6^3.
 MAX_PROBES = 2 ** 16
 
 
@@ -176,7 +175,7 @@ def probe_directions(dim: int) -> list[Vector]:
 def witness_grid(dim: int, bound: int) -> list[Vector]:
     """The grid {1..bound+1}^dim: a nonzero polynomial of per-variable degree
     <= bound cannot vanish on it, so it certifies degree decisions."""
-    if bound > 0 and (dim >= MAX_PROBES.bit_length() or (bound + 1) ** dim > MAX_PROBES):
+    if dim >= MAX_PROBES.bit_length() or (bound + 1) ** dim > MAX_PROBES:
         raise ValueError(f"the witness grid's {bound + 1}^{dim} points are above {MAX_PROBES}")
     pts: list[Vector] = [()]
     for _ in range(dim):
@@ -261,9 +260,8 @@ def degree_with_witness(
         if not vanished:
             if isinstance(phi, GridSignal):
                 return None, None  # cascade never flattened on this window
-            # each difference drops the degree exactly, unless a coefficient is inf or nan
-            raise ValueError(f"difference cascade along {y} did not vanish: "
-                             "its coefficients are not finite")
+            # each difference drops the degree exactly, so only inf or nan coefficients get here
+            raise ValueError(f"difference cascade along {y} did not vanish")
         if k > best_order:
             best_order, witness = k, y
     return best_order - 1, witness

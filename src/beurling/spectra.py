@@ -7,8 +7,8 @@ it.  At desk scale this module computes:
 * exact spectra of exponential polynomials (the frequency set, with the
   polynomial degree + 1 as multiplicity);
 * hulls of finitely generated ideals: the shortest generator's unit-circle
-  roots propose angles, and `vanishing_order` keeps those where every
-  generator's transform vanishes;
+  roots propose angles, kept where every other generator's transform
+  vanishes or has a zero within the root band;
 * certified *upper bounds* for spectra of sampled windows, which can never
   promise more than "the true spectrum is contained in this set";
 * the classification of derivative-vanishing primary ideals at the unit
@@ -200,9 +200,8 @@ def polynomial_circle_roots(
     """Unit-circle roots of sum_k coeffs[k] z^k with multiplicities.
 
     Companion-matrix eigenvalues, clustered to recover multiple roots,
-    refined by Newton steps on the appropriate derivative, then filtered by
-    ||z| - 1| < unimod_tol.  Centres that refinement (moving them by at most
-    2 * ROOT_CLUSTER_RADIUS) cannot bring to the circle are not refined.
+    refined by Newton steps on the appropriate derivative (centres out of
+    their reach of the circle are skipped), then filtered by ||z| - 1| < unimod_tol.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
@@ -221,10 +220,9 @@ def polynomial_circle_roots(
     if len(c) <= 1:
         return []
     raw = np.roots(c[::-1])
-    reach = 2 * ROOT_CLUSTER_RADIUS + unimod_tol
     out = []
     for center, mult in _cluster_roots(raw):
-        if abs(abs(center) - 1.0) > reach:
+        if abs(abs(center) - 1.0) > 2 * ROOT_CLUSTER_RADIUS + unimod_tol:
             continue
         z = _refine_root(c, center, mult)
         if abs(abs(z) - 1.0) < unimod_tol:
@@ -281,6 +279,14 @@ def spectrum_exppoly(s: ExpPoly) -> SpectrumResult:
     return Finite(points)
 
 
+def _newton_reaches_zero(f: FinSeq, t: float, reach: float) -> bool:
+    """Whether one Newton step from t, |F f / (F f)'|, is at most ``reach``."""
+    ns, vals = f._arrays()
+    rel = np.array([n - ns[0] for n in ns], dtype=float)
+    terms = vals / np.max(np.abs(vals)) * np.exp(-1j * rel * t)
+    return abs(np.sum(terms)) <= reach * abs(np.sum(terms * rel))
+
+
 def hull_of_generators(
     gens: Sequence[FinSeq],
     tol: float = UNIMODULAR_TOL,
@@ -289,11 +295,10 @@ def hull_of_generators(
 ) -> SpectrumResult:
     """Common unit-circle zero set of the generators' transforms.
 
-    The unit-circle roots of the generator with the shortest support span
-    propose candidate angles; a candidate t is in the hull exactly when
-    every generator's transform vanishes there, and its multiplicity is
-    min(vanishing_order(f, t) for f in gens).  When no candidate survives
-    the result is Empty with a positivity certificate.
+    The shortest generator's roots within ``tol`` of the circle propose
+    angles t; each other generator must vanish at t or be one Newton step of
+    at most tol + ANGULAR_TOL from a zero.  The multiplicity is the least
+    vanishing order, at least 1.  Empty carries a positivity certificate.
     """
     gens = list(gens)
     if not gens:
@@ -305,12 +310,11 @@ def hull_of_generators(
     roots = polynomial_circle_roots(shortest._dense()[1], tol)
     points = []
     for t in sorted((-cmath.phase(z)) % (2 * math.pi) for z, _ in roots):
-        mult = min(vanishing_order(f, t) for f in gens)
-        if mult >= 1:
-            points.append(SpectrumPoint(CirclePoint(t), mult))
-    if not points:
-        return Empty(_empty_certificate(gens, certificate_grid))
-    return Finite(tuple(points))
+        orders = [vanishing_order(f, t) for f in gens]
+        if all(m >= 1 or f is shortest or _newton_reaches_zero(f, t, tol + ANGULAR_TOL)
+               for f, m in zip(gens, orders)):
+            points.append(SpectrumPoint(CirclePoint(t), max(min(orders), 1)))
+    return Finite(tuple(points)) if points else Empty(_empty_certificate(gens, certificate_grid))
 
 
 def spectrum_upper_bound(

@@ -126,6 +126,7 @@ class TestDegree:
 
     @pytest.mark.parametrize("build", [lambda: witness_grid(3, 10 ** 6),
                                        lambda: witness_grid(10 ** 6, 1),
+                                       lambda: witness_grid(10 ** 6, 0),
                                        lambda: probe_directions(10 ** 6)])
     def test_oversized_probe_sets_refused_before_allocating(self, build):
         tracemalloc.start()

@@ -18,6 +18,7 @@ from beurling.seq_algebra import (
     CirclePoint,
     FinSeq,
     circle_distance,
+    convolve,
     delta,
     difference_seq,
     vanishing_order,
@@ -25,6 +26,7 @@ from beurling.seq_algebra import (
 from beurling.signals import (
     ExpPoly,
     Geometric,
+    TableSignal,
     annihilate,
     constant_signal,
     sample_signal,
@@ -32,6 +34,7 @@ from beurling.signals import (
 from beurling.spectra import (
     Empty,
     Finite,
+    SpectrumPoint,
     UpperBound,
     angles_of,
     check_calculus_laws,
@@ -139,6 +142,23 @@ class TestHull:
         hull = hull_of_generators([f2, f3])
         assert hull.points[0].multiplicity == 2
 
+    def test_band_roots_of_every_generator_are_common(self):
+        # zeros at radius 1 + 5e-9 in both generators: the proposer's root
+        # test and a Newton step for the other accept t = 0 and t = pi
+        near = FinSeq({0: 1, 2: -(1 + 5e-9)})
+        hull = hull_of_generators([near, FinSeq({0: 1, 4: -(1 + 5e-9)})])
+        assert angles_of(hull) == pytest.approx((0.0, math.pi))
+        assert [p.multiplicity for p in hull.points] == [1, 1]
+        assert isinstance(hull_of_generators([near, delta(0) + delta(2)]), Empty)
+
+    @pytest.mark.parametrize("gap, common", [(5e-9, True), (2e-8, False), (1e-7, False)])
+    def test_long_generator_zero_off_the_band(self, gap, common):
+        # a zero-free factor of span 200 times a zero at radius 1 + gap
+        factor = FinSeq({0: 1, 200: 0.5})
+        long = convolve(FinSeq({0: 1, 1: -(1 + gap)}), factor)
+        hull = hull_of_generators([long, delta(0) - delta(1)])
+        assert isinstance(hull, Finite if common else Empty)
+
     def test_disjoint_roots_give_empty(self):
         # 1 - e^{-it} vanishes at 0 only; e^{it} + 1 pattern at pi only
         hull = hull_of_generators([delta(0) - delta(1), delta(0) + delta(1)])
@@ -200,6 +220,17 @@ class TestUpperBound:
         result = spectrum_upper_bound(table, [f])
         assert isinstance(result, UpperBound)
         assert angles_of(result) == pytest.approx((1.0,))
+
+    def test_root_inside_the_circle_band_is_kept(self):
+        # the annihilation verdict and the root band both accept a zero at
+        # radius 1 + 5e-9, while vanishing_order's own test reads order 0
+        table = TableSignal(0, [1.0] * 40)
+        f = FinSeq({0: 1, 1: -(1 + 5e-9)})
+        assert annihilate(f, table, 1e-8).is_zero
+        assert vanishing_order(f, 0.0) == 0
+        result = spectrum_upper_bound(table, [f])
+        assert isinstance(result, UpperBound)
+        assert result.points == (SpectrumPoint(CirclePoint(0.0), 1),)
 
     def test_failing_candidate_rejected(self):
         table = sample_signal(constant_signal(1.0), -10, 10)
@@ -394,7 +425,7 @@ def _on_circle(polished, unimod_tol=spectra.UNIMODULAR_TOL):
 
 def _ref_hull(gens, polished):
     """Intersect every generator's root angles within ANGULAR_TOL; returns
-    [(t, min vanishing order)] before any clamp."""
+    [(t, min vanishing order)], the order before the clamp to 1."""
     common = None
     for f, roots in zip(gens, polished):
         angles = [(-cmath.phase(z)) % (2 * math.pi) for z, _ in _on_circle(roots)]
@@ -420,23 +451,26 @@ def _planted(rng, support, roots):
     return FinSeq({lo + i: complex(v) for i, v in enumerate(coeffs)})
 
 
-def _parity_family(rng):
+def _parity_family(rng, band):
     """1-3 generators, longest first, sharing 0-2 angles (multiplicities
     1-3 each), each with an angle of its own and roots at radius 1 +- 1e-3
-    and 1 +- 3e-3, just inside and just past a cluster centre's reach."""
+    and 1 +- 3e-3, just inside and just past a cluster centre's reach.  With
+    ``band`` the shared and own roots sit at radius 1 +- 5e-9, inside the
+    root acceptance band but where vanishing_order can read order 0."""
     n_gens = int(rng.integers(1, 4))
     angles = []
     while len(angles) < 2 + 3 * n_gens:
         t = float(rng.uniform(0, 2 * math.pi))
         if all(circle_distance(t, u) >= 0.2 for u in angles):
             angles.append(t)
-    shared = angles[: int(rng.integers(0, 3))]
+    radius = (lambda: 1.0 + float(rng.choice([-5e-9, 5e-9]))) if band else (lambda: 1.0)
+    shared = [(t, radius()) for t in angles[: int(rng.integers(0, 3))]]
     rest = iter(angles[2:])
     supports = sorted(rng.integers(40, 231, n_gens), reverse=True)
     gens = []
     for support in supports:
-        roots = [(t, int(rng.integers(1, 4)), 1.0) for t in shared]
-        roots.append((next(rest), int(rng.integers(1, 3)), 1.0))
+        roots = [(t, int(rng.integers(1, 4)), r) for t, r in shared]
+        roots.append((next(rest), int(rng.integers(1, 3)), radius()))
         roots.append((next(rest), 1, 1.0 + float(rng.choice([-1e-3, 1e-3]))))
         roots.append((next(rest), 1, 1.0 + float(rng.choice([-3e-3, 3e-3]))))
         gens.append(_planted(rng, int(support), roots))
@@ -444,26 +478,28 @@ def _parity_family(rng):
 
 
 class TestHullParity:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_per_generator_intersection(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            gens = _parity_family(rng)
-            polished = [_ref_polished(f._dense()[1]) for f in gens]
-            for f, roots in zip(gens, polished):
-                for tol in (spectra.UNIMODULAR_TOL, 1e-6):
-                    assert polynomial_circle_roots(f._dense()[1], tol) == _on_circle(roots, tol)
-            want = _ref_hull(gens, polished)
-            dropped = [t for t, m in want if m == 0]
-            assert not dropped, f"candidates whose vanishing order reads 0: {dropped}"
-            got = hull_of_generators(gens)
-            if not want:
-                assert isinstance(got, Empty)
-                continue
-            assert isinstance(got, Finite)
-            assert [p.multiplicity for p in got.points] == [m for _, m in want]
-            for p, (t, _) in zip(got.points, want):
-                assert circle_distance(p.angle.t, t) <= ANGULAR_TOL
+    @pytest.mark.parametrize("band", [False, True])
+    def test_matches_per_generator_intersection(self, band):
+        order_zero = 0  # points the root band keeps although vanishing_order reads 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                gens = _parity_family(rng, band)
+                polished = [_ref_polished(f._dense()[1]) for f in gens]
+                for f, roots in zip(gens, polished):
+                    for tol in (spectra.UNIMODULAR_TOL, 1e-6):
+                        assert polynomial_circle_roots(f._dense()[1], tol) == _on_circle(roots, tol)
+                want = _ref_hull(gens, polished)
+                order_zero += sum(m == 0 for _, m in want)
+                got = hull_of_generators(gens)
+                if not want:
+                    assert isinstance(got, Empty)
+                    continue
+                assert isinstance(got, Finite)
+                assert [p.multiplicity for p in got.points] == [max(m, 1) for _, m in want]
+                for p, (t, _) in zip(got.points, want):
+                    assert circle_distance(p.angle.t, t) <= ANGULAR_TOL
+        assert (order_zero > 0) == band
 
     def test_one_root_finding_per_hull(self, monkeypatch):
         calls = []
