@@ -285,10 +285,16 @@ def spectrum_from_json(data: Any, where: str = "$") -> SpectrumResult:
     raise DescriptorError(f"unknown verdict {verdict!r}", where)
 
 
+def _refuse_constant(name: str):
+    raise DescriptorError(f"non-finite JSON constant {name}")
+
+
 def load_json_file(path: str) -> Any:
+    """Parse a descriptor file as strict JSON: NaN, Infinity and -Infinity
+    are refused."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_refuse_constant)
     except FileNotFoundError:
         raise DescriptorError(f"file not found: {path}")
     except json.JSONDecodeError as exc:

@@ -11,14 +11,17 @@ and the directional-restriction degree (the degree of t -> phi(x + t y)
 maximised over probe pairs), which must agree with the difference
 criterion.
 
-Coefficient arithmetic is duck-typed: integer and Fraction inputs stay
-exact, floats and complex values fall back to scale-aware zero tests.
+For a lattice polynomial, D_y^n p = n! p_n(y) with p_n its top homogeneous
+part, so its degree is read off the homogeneous parts on the certified
+probe set, exactly (floats at their binary values); sampled grids are
+differenced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -63,12 +66,6 @@ class LatticePoly:
         """Max |alpha| over non-zero coefficients; -1 for the zero polynomial."""
         return max((sum(a) for a, _ in self.coeffs), default=-1)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.coeffs
-        scale = max((abs(c) for _, c in self.coeffs), default=0.0)
-        return scale <= tol
-
     def evaluate(self, point: Sequence[int]):
         point = tuple(point)
         if len(point) != self.dim:
@@ -80,33 +77,6 @@ class LatticePoly:
                 term = term * x ** a
             total = total + term
         return total
-
-    def shift(self, v: Sequence[int]) -> "LatticePoly":
-        """p(x + v) by exact binomial expansion."""
-        v = tuple(int(y) for y in v)
-        out: dict[Vector, complex] = {}
-        for alpha, c in self.coeffs:
-            partial = [((), c)]
-            for a_i, v_i in zip(alpha, v):
-                nxt = []
-                for beta, coeff in partial:
-                    for k in range(a_i + 1):
-                        nxt.append((beta + (k,), coeff * math.comb(a_i, k) * v_i ** (a_i - k)))
-                partial = nxt
-            for beta, coeff in partial:
-                out[beta] = out.get(beta, 0) + coeff
-        return LatticePoly(self.dim, out)
-
-    def __sub__(self, other: "LatticePoly") -> "LatticePoly":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        merged = dict(self.coeffs)
-        for alpha, c in other.coeffs:
-            merged[alpha] = merged.get(alpha, 0) - c
-        return LatticePoly(self.dim, merged)
-
-    def difference(self, y: Sequence[int]) -> "LatticePoly":
-        return self.shift(y) - self
 
 
 @dataclass(frozen=True)
@@ -187,9 +157,17 @@ def witness_grid(dim: int, bound: int) -> list[Vector]:
 # operations
 
 
-def iterated_difference(phi: Lattice, directions: Sequence[Sequence[int]]) -> Lattice:
-    """Apply D_{y_1} ... D_{y_k}; exact for polynomials, window-shrinking
-    for grids."""
+def _probes(phi: LatticePoly) -> list[Vector]:
+    """Probe directions, then the witness grid for phi's total degree,
+    without repeats and in that order."""
+    seen: set[Vector] = set()
+    dirs = probe_directions(phi.dim) + witness_grid(phi.dim, max(phi.total_degree(), 0))
+    return [y for y in dirs if not (y in seen or seen.add(y))]
+
+
+def iterated_difference(phi: GridSignal, directions: Sequence[Sequence[int]]) -> GridSignal:
+    """Apply D_{y_1} ... D_{y_k} to a sampled grid; each step shrinks the
+    window by |y_i| along each axis."""
     out = phi
     for y in directions:
         if isinstance(y, int):
@@ -198,16 +176,36 @@ def iterated_difference(phi: Lattice, directions: Sequence[Sequence[int]]) -> La
     return out
 
 
-def _lattice_is_zero(phi: Lattice, tol: float, scale: float) -> bool:
-    if isinstance(phi, LatticePoly):
-        return phi.is_zero(tol * scale)
-    return phi.is_zero(tol * (1.0 + scale))
-
-
-def _scale_of(phi: Lattice) -> float:
-    if isinstance(phi, LatticePoly):
-        return max((abs(c) for _, c in phi.coeffs), default=0.0)
-    return float(np.max(np.abs(phi.values))) if phi.values.size else 0.0
+def _poly_degree_with_witness(p: LatticePoly, tol: float) -> tuple[int, Optional[Vector]]:
+    try:
+        parts = [(Fraction(c.real), Fraction(c.imag)) for _, c in p.coeffs]
+    except (OverflowError, ValueError):
+        raise ValueError("a coefficient is not finite") from None
+    # max|c| <= tol * max|c| holds exactly when p = 0 or tol >= 1
+    if not parts or tol >= 1:
+        return -1, None
+    # over a common denominator every coefficient is a Gaussian integer; the
+    # test below is homogeneous in it, so it drops out
+    den = math.lcm(*(q.denominator for pair in parts for q in pair))
+    tol2 = Fraction(tol) ** 2
+    levels: dict[int, list[tuple[Vector, int, int]]] = {}
+    bar = 0  # tol^2 max|c|^2, in the units of the left side below
+    for (alpha, _), (re, im) in zip(p.coeffs, parts):
+        a, b = int(re * den), int(im * den)
+        levels.setdefault(sum(alpha), []).append((alpha, a, b))
+        bar = max(bar, tol2.numerator * (a * a + b * b))
+    levels.pop(0, None)
+    probes = _probes(p)
+    for d in sorted(levels, reverse=True):
+        weight = math.factorial(d) ** 2 * tol2.denominator
+        for y in probes:
+            re = im = 0
+            for alpha, a, b in levels[d]:
+                mono = math.prod(v ** e for v, e in zip(y, alpha))
+                re, im = re + a * mono, im + b * mono
+            if weight * (re * re + im * im) > bar:  # d! |p_d(y)| > tol max|c|
+                return d, y
+    return 0, probes[0]
 
 
 def degree_with_witness(
@@ -215,53 +213,42 @@ def degree_with_witness(
 ) -> tuple[Optional[int], Optional[Vector]]:
     """Degree by the difference criterion plus a witness direction.
 
-    Along each probe direction y the cascade D_y, D_y^2, ... is run until it
-    vanishes; with k_y the first vanishing order, the degree is
-    max_y k_y - 1 (differences of zero stay zero, so this is exactly the
-    smallest n with every (n+1)-fold probe difference zero and some n-fold
-    difference alive).
+    For a lattice polynomial with homogeneous parts p_d this is the largest
+    d for which some probe y has d! |p_d(y)| > tol * max|c|, the cascade's
+    zero test on D_y^d p = d! p_d(y) (tol = 0 tests p_d(y) != 0), with the
+    first such probe as witness; 0 and the first probe when no d >= 1
+    passes.  The values are exact, at any degree.  A non-finite coefficient
+    is a ValueError.
 
-    Returns (n, y) with y a maximising direction; (-1, None) for the zero
-    input; (None, None) when a sampled grid never flattens before its
-    window is exhausted.
+    A sampled grid runs the cascade D_y, D_y^2, ... along each probe
+    direction y until it vanishes; with k_y the first vanishing order, the
+    degree is max_y k_y - 1 and the witness the first direction attaining it.
+
+    Returns (-1, None) for the zero input and (None, None) when a sampled
+    grid never flattens before its window is exhausted.
     """
     if not tol >= 0:
         raise ValueError("tolerance must be >= 0")
-    scale = _scale_of(phi)
-    if _lattice_is_zero(phi, tol, scale):
-        return -1, None
     if isinstance(phi, LatticePoly):
-        bound = phi.total_degree()
-        probes = probe_directions(phi.dim) + witness_grid(phi.dim, bound)
-        cap = bound + 2
-    else:
-        cap = (min(phi.extents) - 1) if window is None else min(window, min(phi.extents) - 1)
-        if cap < 1:
-            raise WindowError("grid window too small to take any difference")
-        probes = probe_directions(phi.dim)
-    seen: set[Vector] = set()
-    probes = [p for p in probes if not (p in seen or seen.add(p))]
+        return _poly_degree_with_witness(phi, tol)
+    zero = tol * (1.0 + float(np.max(np.abs(phi.values))))
+    if phi.is_zero(zero):
+        return -1, None
+    cap = (min(phi.extents) - 1) if window is None else min(window, min(phi.extents) - 1)
+    if cap < 1:
+        raise WindowError("grid window too small to take any difference")
 
     best_order = 0
     witness: Optional[Vector] = None
-    for y in probes:
-        cur: Lattice = phi
-        k = 0
-        vanished = False
-        while k < cap:
-            try:
-                cur = cur.difference(y)
-            except WindowError:
+    # probe directions step by at most 1 per axis, so cap differences fit the window
+    for y in probe_directions(phi.dim):
+        cur = phi
+        for k in range(1, cap + 1):
+            cur = cur.difference(y)
+            if cur.is_zero(zero):
                 break
-            k += 1
-            if _lattice_is_zero(cur, tol, scale):
-                vanished = True
-                break
-        if not vanished:
-            if isinstance(phi, GridSignal):
-                return None, None  # cascade never flattened on this window
-            # each difference drops the degree exactly, so only inf or nan coefficients get here
-            raise ValueError(f"difference cascade along {y} did not vanish")
+        else:
+            return None, None  # cascade never flattened on this window
         if k > best_order:
             best_order, witness = k, y
     return best_order - 1, witness
@@ -278,19 +265,22 @@ def newton_expand(
     phi: LatticePoly, x: Sequence[int], y: Sequence[int], m: int
 ) -> tuple[complex, complex]:
     """Both sides of the binomial difference expansion at (x, y, m):
-    left phi(x + m y), right sum_j C(m, j) (D_y^j phi)(x).  Exact inputs
-    give exactly equal outputs."""
+    left phi(x + m y), right sum_j C(m, j) (D_y^j phi)(x), with
+    D_y^j phi(x) = sum_i (-1)^(j-i) C(j, i) phi(x + i y) taken from
+    evaluations.  The right side stops at j = min(m, total degree), as
+    D_y^j phi = 0 past the degree; the full sum to m holds for any function.
+    Exact inputs give exactly equal outputs."""
     if m < 0:
         raise ValueError("m must be >= 0")
     x = tuple(int(v) for v in x)
     y = tuple(int(v) for v in y)
     lhs = phi.evaluate(tuple(a + m * b for a, b in zip(x, y)))
+    top = min(m, phi.total_degree())
+    vals = [phi.evaluate(tuple(a + i * b for a, b in zip(x, y))) for i in range(top + 1)]
     rhs = 0
-    diff: Lattice = phi
-    for j in range(m + 1):
-        rhs = rhs + math.comb(m, j) * diff.evaluate(x)
-        if j < m:
-            diff = diff.difference(y)
+    for j in range(top + 1):
+        diff = sum((-1) ** (j - i) * math.comb(j, i) * vals[i] for i in range(j + 1))
+        rhs = rhs + math.comb(m, j) * diff
     return lhs, rhs
 
 
@@ -332,12 +322,4 @@ def domar_degree(
 def default_probes(phi: LatticePoly) -> list[tuple[Vector, Vector]]:
     """Probe pairs from the origin along the certified witness directions."""
     origin = (0,) * phi.dim
-    bound = max(phi.total_degree(), 0)
-    dirs = probe_directions(phi.dim) + witness_grid(phi.dim, bound)
-    seen: set[Vector] = set()
-    out = []
-    for y in dirs:
-        if y not in seen:
-            seen.add(y)
-            out.append((origin, y))
-    return out
+    return [(origin, y) for y in _probes(phi)]

@@ -146,13 +146,26 @@ class TestDegreeCommand:
         assert payload["witness"] is not None
 
     @pytest.mark.parametrize("payload", [
-        {"dim": 3, "coeffs": [[[3, 0, 3], -1e300, 0], [[1, 1, 0], 1, 0]]},
+        {"dim": 1, "coeffs": [[[65536], 1, 0]]},  # one witness point past MAX_PROBES
         {"dim": 40, "coeffs": [[[1] + [0] * 39, 1, 0]]},
         {"dim": 2, "coeffs": [[[1000000, 0], 1, 0]]},
     ])
     def test_overflow_or_oversized_probe_set_is_an_input_error(self, tmp_path, capsys, payload):
         code, out = run(capsys, "degree", "--poly", write(tmp_path, "p.json", payload))
         assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("payload, degree, witness", [
+        ({"dim": 1, "coeffs": [[[88], 1, 0]]}, 88, [1]),
+        ({"dim": 1, "coeffs": [[[200], 1, 0]]}, 200, [1]),
+        ({"dim": 3, "coeffs": [[[3, 0, 3], -1e300, 0], [[1, 1, 0], 1, 0]]}, 6, [1, 1, 1]),
+        # the top term reads as zero at every probe, up to 151^150
+        ({"dim": 1, "coeffs": [[[150], 1e-300, 0], [[0], 1e300, 0]]}, 0, [1]),
+        ({"dim": 1, "coeffs": [[[65535], 1, 0]]}, 65535, [1]),  # the MAX_PROBES edge
+    ])
+    def test_high_degree_and_wide_range(self, tmp_path, capsys, payload, degree, witness):
+        code, out = run(capsys, "degree", "--poly", write(tmp_path, "p.json", payload))
+        assert code == 0
+        assert json.loads(out) == {"degree": degree, "witness": witness}
 
 
 class TestDecompose:
@@ -235,6 +248,16 @@ class TestErrorPaths:
         code, _ = run(capsys, "spectrum", "--signal", bad)
         assert code == 1
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["degree", "--poly"], {"dim": 1, "coeffs": [[[2], float("nan"), 0], [[1], 1, 0]]}),
+        (["degree", "--poly"], {"dim": 1, "coeffs": [[[2], float("inf"), 0], [[1], 1, 0]]}),
+        (["seq", "ft", "--seq"], {"entries": [[0, 1, 0], [3, float("nan"), 0]]}),
+    ])
+    def test_non_finite_json_constant_is_input_error(self, tmp_path, capsys, argv, payload):
+        # json.dumps writes these as NaN and Infinity, which strict JSON refuses
+        code, out = run(capsys, *argv, write(tmp_path, "in.json", payload))
+        assert (code, out) == (1, "")
+
     def test_window_error_is_input_error(self, tmp_path, capsys):
         sig = write(tmp_path, "s.json",
                     signal_to_json(sample_signal(Geometric(2), 0, 3)))
@@ -305,8 +328,9 @@ def test_fuzzed_weights_keep_the_exit_code_contract(tmp_path_factory, capsys,
 
 
 # Offsets stay within a few hundred so that hulls (a dense eigen-solve over
-# the support span) stay cheap, and multi-indices at most 2 so that degree
-# probes at most 7^3 witness points; values reach the float range.
+# the support span) stay cheap.  Multi-indices reach 8, so a degree request
+# scans up to 25^3 witness points when a tiny top part reads as zero at
+# every probe; values reach the float range.
 huge = st.one_of(small, st.floats(-1e300, 1e300), st.sampled_from([0.0, 1e-300]))
 seq_descriptors = st.builds(
     lambda rows: {"entries": rows},
@@ -316,7 +340,7 @@ short_seq_descriptors = st.builds(
     st.lists(st.tuples(st.integers(-6, 6), small, small).map(list), min_size=1, max_size=5))
 poly_descriptors = st.integers(1, 3).flatmap(lambda dim: st.builds(
     lambda rows: {"dim": dim, "coeffs": rows},
-    st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=dim, max_size=dim), huge, small)
+    st.lists(st.tuples(st.lists(st.integers(0, 8), min_size=dim, max_size=dim), huge, small)
              .map(list), max_size=5)))
 
 

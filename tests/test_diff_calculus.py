@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,81 @@ def poly_1d(*coeffs):
     return LatticePoly(1, {(j,): c for j, c in enumerate(coeffs) if c})
 
 
+# ---------------------------------------------------------------------------
+# reference: the symbolic difference cascade that degree_with_witness replaced
+# with the closed form; the parity tests below hold the two to the same answer
+
+
+def shift(p, v):
+    """p(x + v) by exact binomial expansion."""
+    v = tuple(int(y) for y in v)
+    out = {}
+    for alpha, c in p.coeffs:
+        partial = [((), c)]
+        for a_i, v_i in zip(alpha, v):
+            nxt = []
+            for beta, coeff in partial:
+                for k in range(a_i + 1):
+                    nxt.append((beta + (k,), coeff * math.comb(a_i, k) * v_i ** (a_i - k)))
+            partial = nxt
+        for beta, coeff in partial:
+            out[beta] = out.get(beta, 0) + coeff
+    return LatticePoly(p.dim, out)
+
+
+def difference(p, y):
+    """D_y p = p(x + y) - p(x), symbolically."""
+    merged = shift(p, y).coeff_map()
+    for alpha, c in p.coeffs:
+        merged[alpha] = merged.get(alpha, 0) - c
+    return LatticePoly(p.dim, merged)
+
+
+def is_zero(p, tol=0.0):
+    if tol == 0.0:
+        return not p.coeffs
+    return max((abs(c) for _, c in p.coeffs), default=0.0) <= tol
+
+
+def cascade_degree_with_witness(p, tol=1e-9):
+    """Along each probe y run D_y, D_y^2, ... until it vanishes; with k_y the
+    first vanishing order, the degree is max_y k_y - 1 and the witness the
+    first probe attaining it."""
+    scale = max((abs(c) for _, c in p.coeffs), default=0.0)
+    if is_zero(p, tol * scale):
+        return -1, None
+    bound = p.total_degree()
+    seen = set()
+    probes = [y for y in probe_directions(p.dim) + witness_grid(p.dim, bound)
+              if not (y in seen or seen.add(y))]
+    best_order, witness = 0, None
+    for y in probes:
+        cur, k = p, 0
+        while k < bound + 2:
+            cur = difference(cur, y)
+            k += 1
+            if is_zero(cur, tol * scale):
+                break
+        else:
+            raise ValueError(f"difference cascade along {y} did not vanish")
+        if k > best_order:
+            best_order, witness = k, y
+    return best_order - 1, witness
+
+
+def complex_variant(rng, negligible_top):
+    """A random lattice polynomial with complex coefficients.  With
+    ``negligible_top`` it also gets a 1e-14 term one degree up: small
+    enough to read as zero at most probes, so the zero rule, not
+    ``total_degree()``, decides the degree."""
+    p = random_lattice_poly(rng, max_dim=3, max_degree=5)
+    coeffs = {a: c * complex(rng.normal(), rng.normal()) for a, c in p.coeffs}
+    if negligible_top:
+        beta = tuple(int(v) for v in rng.multinomial(p.total_degree() + 1, [1 / p.dim] * p.dim))
+        coeffs[beta] = coeffs.get(beta, 0) + 1e-14 * complex(rng.normal(), rng.normal())
+    return LatticePoly(p.dim, coeffs)
+
+
 class TestLatticePoly:
     def test_total_degree(self):
         assert poly_1d(1, 0, 3).total_degree() == 2
@@ -36,12 +112,12 @@ class TestLatticePoly:
 
     def test_shift_exact(self):
         p = poly_1d(0, 0, 1)  # n^2
-        q = p.shift((3,))  # (n+3)^2 = n^2 + 6n + 9
+        q = shift(p, (3,))  # (n+3)^2 = n^2 + 6n + 9
         assert q.coeff_map() == {(0,): 9, (1,): 6, (2,): 1}
 
     def test_integer_arithmetic_stays_exact(self):
         p = LatticePoly(3, {(2, 1, 0): 7, (0, 0, 5): -3})
-        q = p.shift((11, -4, 2)).shift((-11, 4, -2))
+        q = shift(shift(p, (11, -4, 2)), (-11, 4, -2))
         assert q.coeff_map() == p.coeff_map()
 
     def test_multi_index_validation(self):
@@ -53,18 +129,20 @@ class TestLatticePoly:
 
 class TestIteratedDifference:
     def test_third_difference_of_quadratic_vanishes(self):
-        p = poly_1d(0, 0, 1)
-        assert iterated_difference(p, [1, 1, 1]).is_zero()
+        g = GridSignal((-5,), np.arange(-5, 6, dtype=float) ** 2)
+        out = iterated_difference(g, [1, 1, 1])
+        assert out.extents == (8,) and np.all(out.values == 0)
 
     def test_second_difference_of_quadratic_is_constant(self):
-        p = poly_1d(0, 0, 1)
-        out = iterated_difference(p, [1, 1])
-        assert out.coeff_map() == {(0,): 2}
+        g = GridSignal((-5,), np.arange(-5, 6, dtype=float) ** 2)
+        out = iterated_difference(g, [1, 1])
+        assert np.all(out.values == 2)
 
     def test_mixed_difference(self):
-        p = LatticePoly(2, {(1, 1): 1})  # n m
-        out = iterated_difference(p, [(1, 0), (0, 1)])
-        assert out.coeff_map() == {(0, 0): 1}
+        xs = np.arange(-4, 5, dtype=float)
+        g = GridSignal((-4, -4), np.outer(xs, xs))  # n m
+        out = iterated_difference(g, [(1, 0), (0, 1)])
+        assert out.extents == (8, 8) and np.all(out.values == 1)
 
     def test_grid_window_shrinks(self):
         g = GridSignal((-5,), np.arange(-5, 6, dtype=float))
@@ -149,6 +227,39 @@ class TestDegree:
         assert degree(g, tol=1e-9) == 2
 
 
+class TestClosedFormParity:
+    def test_matches_cascade_on_random_lattice_polys(self):
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            p = random_lattice_poly(rng, max_dim=3, max_degree=5)
+            assert degree_with_witness(p) == cascade_degree_with_witness(p), p
+
+    def test_matches_cascade_on_complex_coefficients(self):
+        rng = np.random.default_rng(21)
+        lowered = 0
+        for i in range(300):
+            p = complex_variant(rng, negligible_top=i % 2 == 1)
+            got = degree_with_witness(p)
+            assert got == cascade_degree_with_witness(p), p
+            lowered += got[0] < p.total_degree()
+        assert lowered > 50  # the zero rule decided these, not total_degree()
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(1, float("-inf"))])
+    def test_non_finite_coefficient_is_refused(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            degree_with_witness(LatticePoly(1, {(2,): bad, (1,): 1}))
+
+    def test_far_probes_stay_exact(self):
+        # the top parts read as zero up to the last probe, where y^alpha is
+        # past the float range
+        p = LatticePoly(1, {(400,): 1, (0,): 10 ** 2000})
+        assert degree_with_witness(p) == (0, (1,))
+        assert degree_with_witness(p, tol=0) == (400, (1,))
+        q = LatticePoly(1, {(150,): 1e-300, (0,): 1e300})
+        assert degree_with_witness(q) == (0, (1,))
+        assert degree_with_witness(q, tol=0) == (150, (1,))
+
+
 class TestNewtonExpand:
     def test_square_example(self):
         lhs, rhs = newton_expand(poly_1d(0, 0, 1), (0,), (1,), 3)
@@ -162,6 +273,20 @@ class TestNewtonExpand:
     def test_linear(self):
         lhs, rhs = newton_expand(poly_1d(0, 1), (2,), (3,), 4)
         assert lhs == rhs == 14
+
+    def test_right_side_stops_at_the_degree(self):
+        # summed to m, the right side matches any function; stopping at the
+        # claimed degree 1 it must miss 2^n
+        class Claimed:
+            dim = 1
+
+            def total_degree(self):
+                return 1
+
+            def evaluate(self, point):
+                return 2 ** point[0]
+
+        assert newton_expand(Claimed(), (0,), (1,), 3) == (8, 1 + 3 * 1)
 
     def test_random_exact(self):
         rng = np.random.default_rng(7)
@@ -207,7 +332,9 @@ class TestDifferenceChain:
             n = degree(p)
             dirs = probe_directions(p.dim) + witness_grid(p.dim, max(n, 0))
             picks = [dirs[int(i)] for i in rng.integers(0, len(dirs), n + 1)]
-            assert iterated_difference(p, picks).is_zero()
+            for y in picks:
+                p = difference(p, y)
+            assert is_zero(p)
 
     def test_decay_beyond_degree(self):
         # |p(m y)| / m^(deg + 1/2) decays to a tiny fraction of its peak
