@@ -176,22 +176,37 @@ def iterated_difference(phi: GridSignal, directions: Sequence[Sequence[int]]) ->
     return out
 
 
-def _poly_degree_with_witness(p: LatticePoly, tol: float) -> tuple[int, Optional[Vector]]:
+def _exact_terms(p: LatticePoly) -> list[tuple[Vector, int, int]]:
+    """(alpha, a, b) with c_alpha = (a + ib) / den for one common den: every
+    coefficient at its exact binary value.  The zero rules below are
+    homogeneous in the coefficients, so den drops out of them."""
     try:
         parts = [(Fraction(c.real), Fraction(c.imag)) for _, c in p.coeffs]
     except (OverflowError, ValueError):
         raise ValueError("a coefficient is not finite") from None
-    # max|c| <= tol * max|c| holds exactly when p = 0 or tol >= 1
-    if not parts or tol >= 1:
-        return -1, None
-    # over a common denominator every coefficient is a Gaussian integer; the
-    # test below is homogeneous in it, so it drops out
     den = math.lcm(*(q.denominator for pair in parts for q in pair))
+    return [(alpha, int(re * den), int(im * den))
+            for (alpha, _), (re, im) in zip(p.coeffs, parts)]
+
+
+def _exact_value(terms: Sequence[tuple[Vector, int, int]], point: Sequence[int]) -> tuple[int, int]:
+    """Real and imaginary parts of sum (a + ib) point^alpha, in integers."""
+    re = im = 0
+    for alpha, a, b in terms:
+        mono = math.prod(v ** e for v, e in zip(point, alpha))
+        re, im = re + a * mono, im + b * mono
+    return re, im
+
+
+def _poly_degree_with_witness(p: LatticePoly, tol: float) -> tuple[int, Optional[Vector]]:
+    terms = _exact_terms(p)
+    # max|c| <= tol * max|c| holds exactly when p = 0 or tol >= 1
+    if not terms or tol >= 1:
+        return -1, None
     tol2 = Fraction(tol) ** 2
     levels: dict[int, list[tuple[Vector, int, int]]] = {}
     bar = 0  # tol^2 max|c|^2, in the units of the left side below
-    for (alpha, _), (re, im) in zip(p.coeffs, parts):
-        a, b = int(re * den), int(im * den)
+    for alpha, a, b in terms:
         levels.setdefault(sum(alpha), []).append((alpha, a, b))
         bar = max(bar, tol2.numerator * (a * a + b * b))
     levels.pop(0, None)
@@ -199,10 +214,7 @@ def _poly_degree_with_witness(p: LatticePoly, tol: float) -> tuple[int, Optional
     for d in sorted(levels, reverse=True):
         weight = math.factorial(d) ** 2 * tol2.denominator
         for y in probes:
-            re = im = 0
-            for alpha, a, b in levels[d]:
-                mono = math.prod(v ** e for v, e in zip(y, alpha))
-                re, im = re + a * mono, im + b * mono
+            re, im = _exact_value(levels[d], y)
             if weight * (re * re + im * im) > bar:  # d! |p_d(y)| > tol max|c|
                 return d, y
     return 0, probes[0]
@@ -289,32 +301,32 @@ def domar_degree(
 ) -> int:
     """Max over probe pairs (x, y) of the degree of t -> phi(x + t y).
 
-    Each restriction is fitted by exact divided differences on
-    t = 0..bound+1; with probes containing a witness direction this equals
-    the difference-criterion degree.
+    Each restriction is sampled exactly on t = 0..bound+1 (coefficients at
+    their binary values) and differenced; an order counts while some
+    difference exceeds 1e-12 of the largest sample.  With probes containing
+    a witness direction this equals the difference-criterion degree.
     """
     if not probes:
         raise ValueError("need at least one probe pair")
     bound = max(phi.total_degree(), 0)
+    terms = _exact_terms(phi)
+    tol2 = Fraction(1e-12) ** 2
     best = -1
     for x, y in probes:
         x = tuple(int(v) for v in x)
         y = tuple(int(v) for v in y)
-        samples = [
-            phi.evaluate(tuple(a + t * b for a, b in zip(x, y)))
+        level = [
+            _exact_value(terms, tuple(a + t * b for a, b in zip(x, y)))
             for t in range(bound + 2)
         ]
-        scale = max((abs(s) for s in samples), default=0.0)
+        bar = tol2.numerator * max(re * re + im * im for re, im in level)
         # unit-step differences of the sample sequence: degree = last
-        # surviving order
-        level = list(samples)
+        # order with a difference above 1e-12 of the largest sample
         deg_here = -1
-        for k in range(len(samples)):
-            if any(abs(v) > 1e-12 * scale if scale else v != 0 for v in level):
+        for k in range(bound + 2):
+            if tol2.denominator * max(re * re + im * im for re, im in level) > bar:
                 deg_here = k
-            level = [b - a for a, b in zip(level, level[1:])]
-            if not level:
-                break
+            level = [(c - a, d - b) for (a, b), (c, d) in zip(level, level[1:])]
         best = max(best, deg_here)
     return best
 

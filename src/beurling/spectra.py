@@ -17,6 +17,12 @@ it.  At desk scale this module computes:
   recurrence fitting on a Hankel matrix, then least squares);
 * a symbolic checker for the spectral-calculus laws.
 
+Unit-circle roots of a polynomial of degree D come from its companion
+matrix while D <= LOCAL_ORDER.  Above that a grid test with Taylor bounds
+proves most of the circle free of roots within the acceptance band, and
+short pieces of the cells it leaves open each get a small Taylor
+eigenproblem, so no D x D eigenproblem is formed.
+
 Empty verdicts always carry a certificate: a member of the ideal whose
 transform is bounded away from zero on a grid.
 """
@@ -70,12 +76,30 @@ UNIMODULAR_TOL = 1e-8
 #: directions when fitting linear recurrences.
 HANKEL_NULL_REL = 1e-10
 
-#: Companion-matrix eigenvalues within this distance are taken to
-#: approximate one multiple root.  An m-fold root scatters by about
+#: Computed roots within this distance, whole-polynomial or local, are
+#: taken to approximate one multiple root.  An m-fold root scatters by about
 #: eps^(1/m) times the polynomial's conditioning, which exceeds this radius
 #: from multiplicity 4 on at supports in the hundreds (see the README);
 #: genuinely distinct roots closer than this are outside the supported regime.
 ROOT_CLUSTER_RADIUS = 1e-3
+
+#: Degree up to which circle roots come from the whole polynomial's
+#: companion matrix, and the order of each local Taylor problem above it:
+#: at this degree a local expansion would be the whole polynomial anyway.
+LOCAL_ORDER = 28
+
+#: Grid cells per unit of degree (G is the next power of two).  A piece
+#: keeps local roots within rho = half-width + h + 2 ROOT_CLUSTER_RADIUS of
+#: its centre, where the Taylor tail is below sum |c| (D rho)^29 / 29!.  With
+#: cells of width 2 pi/(32 D), D rho stays under 2.3 up to degree 256 (tail
+#: 3e-21 sum |c|, far below rounding); the arc a piece owns stays under
+#: D rho = 1.7 (tail 1e-24) at any degree, and only the scattered members
+#: of a cluster lie further out, where the tail grows with D.
+GRID_PER_DEGREE = 32
+
+#: Open cells per local problem: a wider piece would push D rho, and with
+#: it the Taylor tail, up; a narrower one costs more eigenproblems.
+PIECE_CELLS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +218,108 @@ def _refine_root(coeffs: np.ndarray, z0: complex, mult: int) -> complex:
     return z if abs(z - z0) <= 2 * ROOT_CLUSTER_RADIUS else z0
 
 
+def _polish_on_circle(c: np.ndarray, clusters, unimod_tol: float) -> list[tuple[complex, int]]:
+    """Polish each cluster centre within reach of the circle; keep the
+    polished roots with ||z| - 1| < unimod_tol."""
+    out = []
+    for center, mult in clusters:
+        if abs(abs(center) - 1.0) > 2 * ROOT_CLUSTER_RADIUS + unimod_tol:
+            continue
+        z = _refine_root(c, center, mult)
+        if abs(abs(z) - 1.0) < unimod_tol:
+            out.append((z, mult))
+    return out
+
+
+def _open_cells(c: np.ndarray, unimod_tol: float) -> np.ndarray:
+    """Mask of the grid cells [t_j - h/2, t_j + h/2], t_j = j h, that may
+    hold a root within the band; every closed cell provably holds none.
+
+    With F(t) = sum c_n e^{i(n - D/2)t}, |F| = |p(e^{it})|, and Taylor's
+    bound on a cell from its centre, |F| >= |F_j| - |F'_j| h/2
+    - |F''_j| h^2/8 - M3 h^3/48 with M3 = sum |c_n| |n - D/2|^3.  A root
+    (1 + d) e^{it} with |d| < tol forces |p(e^{it})| < tol M1 (1 + tol)^(D-1),
+    M1 = sum n |c_n|; the factor 2 and G eps sum|c| cover the FFTs' rounding.
+    """
+    D = len(c) - 1
+    G = 1 << (GRID_PER_DEGREE * D - 1).bit_length()
+    h = 2 * math.pi / G
+    a = np.abs(c)
+    n = np.arange(D + 1) - D / 2
+    # |sum_n c_n (n - D/2)^j e^{int_j}|, j = 0, 1, 2, by inverse FFTs scaled by G
+    f0, f1, f2 = (np.abs(np.fft.ifft(c * n ** j, G)) * G for j in range(3))
+    lower = f0 - f1 * h / 2 - f2 * h * h / 8 - float(np.sum(a * np.abs(n) ** 3)) * h ** 3 / 48
+    growth = math.exp(min((D - 1) * math.log1p(unimod_tol), 700.0))
+    band = 2 * float(np.sum(np.arange(D + 1) * a)) * unimod_tol * growth
+    return lower <= band + G * np.finfo(float).eps * float(np.sum(a))
+
+
+def _open_runs(open_cells: np.ndarray) -> list[np.ndarray]:
+    """Maximal circular runs of open cells as index arrays, unwrapped, so a
+    run across cell 0 continues past G - 1; with no closed cell the whole
+    circle is one run."""
+    if not open_cells.any():
+        return []
+    start = int(np.argmin(open_cells))  # a closed cell, or 0 when none is closed
+    idx = np.flatnonzero(np.roll(open_cells, -start)) + start
+    return np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+
+
+def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex, int]]:
+    """Circle roots of a polynomial of degree D > LOCAL_ORDER: a grid test
+    closes root-free cells, and each piece of the open runs gets one
+    degree-LOCAL_ORDER Taylor eigenproblem at its centre."""
+    D = len(c) - 1
+    open_cells = _open_cells(c, unimod_tol)
+    h = 2 * math.pi / open_cells.size
+    pieces = [piece for run in _open_runs(open_cells)
+              for piece in np.array_split(run, -(-run.size // PIECE_CELLS))]
+    centres = np.array([(p[0] + p[-1]) * h / 2 for p in pieces])
+    # Taylor coefficients of p at z0 = e^{i t0} in v = D (z - z0):
+    # b_k = z0^-k sum_n C(n, k) D^-k c_n z0^n, for k <= LOCAL_ORDER
+    k = np.arange(1, LOCAL_ORDER + 1)[:, None]
+    ns = np.arange(D + 1)
+    binom = np.vstack([np.ones(D + 1), np.cumprod((ns - k + 1) / (k * D), axis=0)])
+    local = ((c * np.exp(1j * np.outer(centres, ns))) @ binom.T
+             * np.exp(-1j * np.outer(centres, np.arange(LOCAL_ORDER + 1))))
+    # A cluster centre is claimed by the piece whose arc holds its angle,
+    # widened by mu so that a root on a cut is lost by neither side; the
+    # second claim, within 2 mu and from another piece, is then dropped.
+    # mu <= h/4 keeps the margins of two runs apart, and 2 mu below
+    # ROOT_CLUSTER_RADIUS means one piece never has two clusters that close.
+    mu = min(h, ROOT_CLUSTER_RADIUS) / 4
+    claims = []
+    for i, (piece, t0) in enumerate(zip(pieces, centres)):
+        half = piece.size * h / 2
+        rho = half + h + 2 * ROOT_CLUSTER_RADIUS
+        v = np.roots(local[i, ::-1])
+        z = cmath.exp(1j * t0) + v[np.abs(v) <= D * rho] / D
+        for center, mult in _cluster_roots(z):
+            d = (cmath.phase(center) - t0 + math.pi) % (2 * math.pi) - math.pi
+            if -half - mu <= d < half + mu:
+                claims.append(((t0 + d) % (2 * math.pi), i, center, mult))
+    claims.sort(key=lambda cl: cl[0])
+    kept = []
+    for claim in claims:
+        if not (kept and claim[1] != kept[-1][1] and claim[0] - kept[-1][0] <= 2 * mu):
+            kept.append(claim)
+    if len(kept) > 1 and kept[0][1] != kept[-1][1] and kept[0][0] + 2 * math.pi - kept[-1][0] <= 2 * mu:
+        kept.pop()
+    return _polish_on_circle(c, [(center, mult) for _, _, center, mult in kept], unimod_tol)
+
+
 def polynomial_circle_roots(
     coeffs: Sequence[complex], unimod_tol: float = UNIMODULAR_TOL
 ) -> list[tuple[complex, int]]:
     """Unit-circle roots of sum_k coeffs[k] z^k with multiplicities.
 
-    Companion-matrix eigenvalues, clustered to recover multiple roots,
-    refined by Newton steps on the appropriate derivative (centres out of
-    their reach of the circle are skipped), then filtered by ||z| - 1| < unimod_tol.
+    Up to degree LOCAL_ORDER the whole polynomial's companion-matrix
+    eigenvalues are clustered.  Above it a grid test on the circle proves
+    most cells root-free, and short pieces of the remaining cells each get
+    a degree-LOCAL_ORDER Taylor eigenproblem whose clusters are kept by the
+    piece that owns their angle.  Cluster centres within reach of the circle
+    are refined by Newton steps on the appropriate derivative and kept when
+    ||z| - 1| < unimod_tol.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
@@ -219,15 +337,9 @@ def polynomial_circle_roots(
     c = c[low:]  # remove z^low: roots at 0 are never unimodular
     if len(c) <= 1:
         return []
-    raw = np.roots(c[::-1])
-    out = []
-    for center, mult in _cluster_roots(raw):
-        if abs(abs(center) - 1.0) > 2 * ROOT_CLUSTER_RADIUS + unimod_tol:
-            continue
-        z = _refine_root(c, center, mult)
-        if abs(abs(z) - 1.0) < unimod_tol:
-            out.append((z, mult))
-    return out
+    if len(c) - 1 > LOCAL_ORDER:
+        return _local_circle_roots(c, unimod_tol)
+    return _polish_on_circle(c, _cluster_roots(np.roots(c[::-1])), unimod_tol)
 
 
 def _empty_certificate(gens: Sequence[FinSeq], grid: int = 4096) -> EmptyCertificate:

@@ -321,6 +321,17 @@ class TestDomarDegree:
         with pytest.raises(ValueError):
             domar_degree(poly_1d(1), [])
 
+    def test_float_coefficients_sample_exactly(self):
+        # a float coefficient times an int power past the float range raised
+        # OverflowError at far probes; exact samples answer.  Along y <= 55
+        # the constant dominates every sample and the degree is 0, as the
+        # closed form says; further out the 1e-12 rule relative to the
+        # largest sample reads part of the x^150 term (see CHANGES.md)
+        q = LatticePoly(1, {(150,): 1e-300, (0,): 1e300})
+        assert degree_with_witness(q) == (0, (1,))
+        assert domar_degree(q, [((0,), (y,)) for y in range(1, 56)]) == 0
+        assert domar_degree(q, default_probes(q)) >= 0
+
 
 class TestDifferenceChain:
     def test_directional_flatness_implies_mixed_flatness(self):

@@ -1,8 +1,12 @@
 import cmath
 import math
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beurling import spectra
 from beurling.diff_calculus import LatticePoly, degree
@@ -423,6 +427,17 @@ def _on_circle(polished, unimod_tol=spectra.UNIMODULAR_TOL):
     return [(z, m) for z, m in polished if abs(abs(z) - 1.0) < unimod_tol]
 
 
+def _assert_same_roots(got, want):
+    """Equal as multisets: the same multiplicities, each root within
+    ANGULAR_TOL of its partner (the local problems change the last bits)."""
+    assert len(got) == len(want), (got, want)
+    unmatched = list(got)
+    for z, m in want:
+        near = [i for i, (w, k) in enumerate(unmatched) if k == m and abs(w - z) <= ANGULAR_TOL]
+        assert near, (z, m, got)
+        unmatched.pop(near[0])
+
+
 def _ref_hull(gens, polished):
     """Intersect every generator's root angles within ANGULAR_TOL; returns
     [(t, min vanishing order)], the order before the clamp to 1."""
@@ -488,7 +503,8 @@ class TestHullParity:
                 polished = [_ref_polished(f._dense()[1]) for f in gens]
                 for f, roots in zip(gens, polished):
                     for tol in (spectra.UNIMODULAR_TOL, 1e-6):
-                        assert polynomial_circle_roots(f._dense()[1], tol) == _on_circle(roots, tol)
+                        _assert_same_roots(polynomial_circle_roots(f._dense()[1], tol),
+                                           _on_circle(roots, tol))
                 want = _ref_hull(gens, polished)
                 order_zero += sum(m == 0 for _, m in want)
                 got = hull_of_generators(gens)
@@ -513,3 +529,118 @@ class TestHullParity:
         gens = [delta(0) - delta(4), delta(0) - delta(1), delta(0) - delta(2)]
         assert angles_of(hull_of_generators(gens)) == (0.0,)
         assert calls == [2]  # the shortest generator alone
+
+
+# ---------------------------------------------------------------------------
+# the grid test and local problems above LOCAL_ORDER, against the companion
+# finder above and against planted roots
+
+
+J = spectra.LOCAL_ORDER
+
+
+def _cell_width(support):
+    """Cell width h = 2 pi / G of the grid test for this support."""
+    return 2 * math.pi / (1 << (spectra.GRID_PER_DEGREE * (support - 1) - 1).bit_length())
+
+
+def _planted_coeffs(rng, support, roots):
+    """Coefficients, low first, of a zero-free factor times factors with a
+    root at angle t, radius r, multiplicity m for each (t, m, r) in roots."""
+    f = _planted(rng, support, [(-t, m, 1 / r) for t, m, r in roots])
+    return f._dense()[1]
+
+
+def _assert_planted(got, roots, tol=1e-6):
+    assert sorted(m for _, m in got) == sorted(m for _, m, _ in roots), got
+    for t, m, r in roots:
+        assert any(k == m and abs(z - r * cmath.exp(1j * t)) <= tol for z, k in got), (t, m, got)
+
+
+class TestLocalCircleRoots:
+    @pytest.mark.parametrize("support", [J + 2, 100, 257])
+    def test_simple_root_on_a_half_cell(self, support):
+        # t = (j + 1/2) h sits on the edge of cells j and j + 1, where one
+        # of them can be closed or a piece can end
+        rng = np.random.default_rng(support)
+        h = _cell_width(support)
+        for j in rng.integers(0, int(2 * math.pi / h), 10):
+            t = (int(j) + 0.5) * h
+            coeffs = _planted_coeffs(rng, support, [(t, 1, 1.0)])
+            got = polynomial_circle_roots(coeffs)
+            _assert_planted(got, [(t, 1, 1.0)], tol=1e-12)
+            _assert_same_roots(got, _on_circle(_ref_polished(coeffs)))
+
+    @pytest.mark.parametrize("support", [J + 2, 60, 100, 200])
+    def test_two_roots_in_one_open_run(self, support):
+        # a triple root's flat valley opens a long run; a simple root 3.5
+        # cells away (more than 2 ROOT_CLUSTER_RADIUS) falls in the same run,
+        # and on the grid |F| has no local minimum next to it
+        h = _cell_width(support)
+        roots = [(100 * h, 3, 1.0), (103.5 * h, 1, 1.0)]
+        assert 3.5 * h > 2 * spectra.ROOT_CLUSTER_RADIUS
+        coeffs = _planted_coeffs(np.random.default_rng(support), support, roots)
+        c = coeffs / np.max(np.abs(coeffs))
+        runs = spectra._open_runs(spectra._open_cells(c, spectra.UNIMODULAR_TOL))
+        G = round(2 * math.pi / h)
+        assert any({100, 103, 104} <= set(run % G) for run in runs)
+        # the simple root's position is conditioned by the triple root next
+        # to it: both finders can land 1e-8 from it, so planted truth decides
+        _assert_planted(polynomial_circle_roots(coeffs), roots)
+
+    @pytest.mark.parametrize("cells", [0.0, 15.5])
+    @pytest.mark.parametrize("tol", [spectra.UNIMODULAR_TOL, 1e-2])
+    def test_z64_minus_one(self, cells, tol):
+        # z^64 = e^{64 i phi}; with phi = 15.5 h every root is on a cut
+        # between two pieces, and at tol 1e-2 no cell is closed
+        phi = cells * _cell_width(65)
+        coeffs = np.zeros(65, dtype=complex)
+        coeffs[0], coeffs[64] = -cmath.exp(64j * phi), 1.0
+        assert spectra._open_cells(coeffs, tol).all() == (tol > spectra.UNIMODULAR_TOL)
+        got = polynomial_circle_roots(coeffs, tol)
+        _assert_planted(got, [(phi + 2 * math.pi * k / 64, 1, 1.0) for k in range(64)], tol=1e-12)
+
+    def test_circle_with_no_closed_cell_is_one_run(self):
+        runs = spectra._open_runs(np.ones(64, dtype=bool))
+        assert [list(r) for r in runs] == [list(range(64))]
+        mask = np.zeros(64, dtype=bool)
+        mask[[62, 63, 0, 1, 5]] = True
+        assert [list(r) for r in spectra._open_runs(mask)] == [[5], [62, 63, 64, 65]]
+        assert spectra._open_runs(np.zeros(64, dtype=bool)) == []
+
+    def test_same_roots_at_degree_j_and_j_plus_1(self):
+        roots = [(0.5, 2, 1.0), (2.0, 1, 1 + 5e-9), (4.0, 3, 1.0)]
+        for support in (J + 1, J + 2):  # the whole polynomial, then local problems
+            coeffs = _planted_coeffs(np.random.default_rng(3), support, roots)
+            got = polynomial_circle_roots(coeffs)
+            _assert_planted(got, roots)
+            _assert_same_roots(got, _on_circle(_ref_polished(coeffs)))
+
+    def test_support_1000_round_trip(self):
+        roots = [(0.3, 2, 1.0), (1.0, 1, 1.0), (4.0, 2, 1.0)]
+        coeffs = _planted_coeffs(np.random.default_rng(1), 1000, roots)
+        f = FinSeq({n: complex(v) for n, v in enumerate(coeffs)})
+        start = time.perf_counter()
+        hull = hull_of_generators([f])
+        elapsed = time.perf_counter() - start
+        # the transform's variable is u = e^{-it}, so a root at angle t is the point -t
+        want = sorted(((-t) % (2 * math.pi), m) for t, m, _ in roots)
+        assert angles_of(hull) == pytest.approx([t for t, _ in want], abs=1e-8)
+        assert [p.multiplicity for p in hull.points] == [m for _, m in want]
+        assert elapsed < 0.3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        support=st.integers(J + 1, 300),
+        roots=st.lists(st.tuples(st.floats(0, 2 * math.pi), st.integers(1, 3),
+                                 st.sampled_from([1.0, 1 + 5e-9, 1 - 5e-9])),
+                       min_size=1, max_size=4),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_matches_the_companion_finder(self, support, roots, seed):
+        assume(all(circle_distance(a[0], b[0]) >= 0.2
+                   for i, a in enumerate(roots) for b in roots[:i]))
+        coeffs = _planted_coeffs(np.random.default_rng(seed), support, roots)
+        got = polynomial_circle_roots(coeffs)
+        _assert_same_roots(got, _on_circle(_ref_polished(coeffs)))
+        _assert_planted(got, roots)
