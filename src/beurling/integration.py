@@ -6,6 +6,11 @@ provides the operator, the compact-support running sum K on sequences
 (which stays finitely supported precisely while the transform keeps
 vanishing at 0), and a finite-evidence boundedness verdict over growing
 windows.
+
+The probe streams the signal outward from 0 on each side in chunks
+(``signals.outward_chunks``) and keeps one running sup per window ring, so
+its memory is O(chunk) whatever the top window; that window is capped at
+MAX_PROBE_WINDOW.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import UnboundedSupportError
 from .seq_algebra import FinSeq, fourier_eval
-from .signals import CumSum, Signal, eval_signal_range
+from .signals import CumSum, Signal, outward_chunks
 
 #: Two consecutive window sups within this relative distance count as
 #: stabilized.
@@ -35,6 +40,10 @@ INCREMENT_DECAY = 1e-2
 #: k = 3), well under this; linear growth gives a factor of ten per decade
 #: and logarithmic growth about 1.3.
 SLOW_GROWTH_PER_DECADE = 5e-2
+
+#: Largest top window a probe accepts: 2 * 10^8 samples, about 7 s for
+#: the running sum of one character (the time grows with the terms).
+MAX_PROBE_WINDOW = 10 ** 8
 
 #: Increments growing by at least this factor flag superlinear growth in
 #: log-window.
@@ -90,6 +99,9 @@ def boundedness_probe(s: Signal, windows: Sequence[int]) -> BoundednessVerdict:
     unboundedTrend: the increments grow by at least SUPERLINEAR_RATIO while
     the sup itself grows substantially (the trace is superlinear in
     log-window).  Anything else is inconclusive.
+
+    A top window above MAX_PROBE_WINDOW, or a non-finite sup (naming the
+    first window that holds one), is a ValueError.
     """
     windows = [int(w) for w in windows]
     if len(windows) < 2:
@@ -97,8 +109,19 @@ def boundedness_probe(s: Signal, windows: Sequence[int]) -> BoundednessVerdict:
     if any(b <= a for a, b in zip(windows, windows[1:])) or windows[0] < 1:
         raise ValueError("windows must be strictly increasing and positive")
     top = windows[-1]
-    vals = np.abs(eval_signal_range(s, -top, top))
-    sups = [float(np.max(vals[top - w:top + w + 1])) for w in windows]
+    if top > MAX_PROBE_WINDOW:
+        raise ValueError(f"top window {top} exceeds MAX_PROBE_WINDOW = {MAX_PROBE_WINDOW}")
+    rings = list(zip([0] + [w + 1 for w in windows], [w + 1 for w in windows]))
+    ring_sup = np.zeros(len(windows))  # ring i holds w_{i-1} < |n| <= w_i
+    for sign, start in ((1, 0), (-1, 1)):
+        for chunk in outward_chunks(s, sign, start, top + 1):
+            mag = np.abs(chunk)  # |phi(sign * m)| for m from start on
+            for i, (r_lo, r_hi) in enumerate(rings):
+                seg = mag[max(r_lo - start, 0): max(r_hi - start, 0)]
+                if len(seg):
+                    ring_sup[i] = np.maximum(ring_sup[i], seg.max())  # keeps a nan
+            start += len(chunk)
+    sups = [float(v) for v in np.maximum.accumulate(ring_sup)]
     for w, sup in zip(windows, sups):
         if not math.isfinite(sup):
             raise ValueError(f"sup of |phi| over window {w} is {sup}; "

@@ -15,6 +15,12 @@ Four arms cover everything the rest of the package needs in closed form:
 ``annihilate`` implements the correlation (f* . phi)(x) = sum_m
 conj(f(m)) phi(x+m): symbolically exact on ExpPoly/Geometric, pointwise on
 the valid sub-window for tables.
+
+Evaluation: ``eval_signal_range`` takes an ExpPoly's phases e^{i t n} from
+a block table, one exp per PHASE_BLOCK samples, at the accuracy of
+rounding t n.  ``outward_chunks`` yields a signal at n = 0, +-1, +-2, ...
+in chunks of at most CHUNK samples; a CumSum carries its running sum from
+chunk to chunk there, so a running sum to any radius needs O(CHUNK) memory.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -132,6 +138,15 @@ def constant_signal(c: complex) -> ExpPoly:
 # ---------------------------------------------------------------------------
 # evaluation
 
+#: Phase-table block length B: one exp per B samples for the block phases
+#: and a row of B exps per call, small against a chunk and held in L1.
+PHASE_BLOCK = 512
+
+#: Samples per streamed chunk (a multiple of PHASE_BLOCK): 256 KB of
+#: complex values, large enough that numpy's per-call cost is lost in the
+#: work and small enough that a probe to any radius needs a few MB.
+CHUNK = 2 ** 14
+
 
 def eval_signal(s: Signal, n: int) -> complex:
     """Exact evaluation of the signal at a single integer."""
@@ -139,23 +154,23 @@ def eval_signal(s: Signal, n: int) -> complex:
 
 
 def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
-    """Vectorised evaluation on the inclusive range [lo, hi]."""
+    """Vectorised evaluation on the inclusive range [lo, hi].
+
+    ``ExpPoly`` phases come from a block table (see ``_exppoly_along``);
+    a ``CumSum`` is summed outward from 0 by ``outward_chunks``.
+    """
     if hi < lo:
         raise ValueError("empty evaluation range")
-    ns = np.arange(lo, hi + 1)
     if isinstance(s, ExpPoly):
-        out = np.zeros(len(ns), dtype=complex)
-        for term in s.terms:
-            poly = np.zeros(len(ns), dtype=complex)
-            for j in range(len(term.coeffs) - 1, -1, -1):
-                poly = poly * ns + term.coeffs[j]
-            out += np.exp(1j * term.freq.t * ns) * poly
-        return out
+        if lo >= 0:
+            return _exppoly_along(s, 1, lo, hi + 1)
+        down = _exppoly_along(s, -1, max(-hi, 1), 1 - lo)[::-1]
+        return down if hi < 0 else np.concatenate((down, _exppoly_along(s, 1, 0, hi + 1)))
     if isinstance(s, Geometric):
         # scaled part by part: a complex product turns an overflowing inf into inf+nanj
-        out = np.empty(len(ns), dtype=complex)
+        out = np.empty(hi - lo + 1, dtype=complex)
         with np.errstate(over="ignore"):
-            mag = np.power(float(s.ratio), ns.astype(float))
+            mag = np.power(float(s.ratio), np.arange(lo, hi + 1, dtype=float))
             out.real, out.imag = (c * mag if c else 0.0 for c in (s.scale.real, s.scale.imag))
         return out
     if isinstance(s, TableSignal):
@@ -165,15 +180,81 @@ def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
             )
         return np.asarray(s.values[lo - s.start: hi - s.start + 1], dtype=complex)
     if isinstance(s, CumSum):
-        span_lo, span_hi = min(lo, 0) + 1, max(hi, 0)
-        if span_hi < span_lo:  # degenerate: lo = hi = 0
-            return np.zeros(len(ns), dtype=complex)
-        inner = eval_signal_range(s.inner, span_lo, span_hi)
-        prefix = np.concatenate(([0j], np.cumsum(inner)))
-        # prefix[i] = sum of inner over [span_lo, span_lo + i - 1], so on
-        # both sides of 0, P phi(n) = prefix[n - span_lo + 1] - prefix[1 - span_lo]
-        return prefix[ns - span_lo + 1] - prefix[1 - span_lo]
+        parts = []
+        if lo < 0:  # chunks below 0 come outward; put them back in order of n
+            parts = [c[::-1] for c in outward_chunks(s, -1, max(-hi, 1), 1 - lo)][::-1]
+        if hi >= 0:
+            parts += outward_chunks(s, 1, max(lo, 0), hi + 1)
+        return np.concatenate(parts)
     raise TypeError(f"not a signal: {s!r}")
+
+
+def outward_chunks(s: Signal, sign: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """Yield s(sign * m) for start <= m < stop, in order of m, as new arrays.
+
+    Chunks end at multiples of CHUNK, so memory stays O(CHUNK) however far
+    out the range reaches.  A ``CumSum`` streams its inner signal outward
+    from 0 and carries the partial sum across chunks: it is the one place a
+    running sum is taken, and it reads the inner signal on (0, m] going up
+    and on (-m, 0] going down, nowhere else.
+    """
+    if not isinstance(s, CumSum):
+        while start < stop:
+            end = min(stop, (start // CHUNK + 1) * CHUNK)
+            yield (eval_signal_range(s, start, end - 1) if sign > 0
+                   else eval_signal_range(s, 1 - end, -start)[::-1])
+            start = end
+        return
+    if start == 0 < stop:
+        yield np.zeros(1, dtype=complex)  # the empty sum P phi(0)
+    first = 1 if sign > 0 else 0
+    m, total = 1, 0j  # the next piece starts at P phi(sign * m)
+    for piece in outward_chunks(s.inner, sign, first, stop - 1 + first):
+        piece[0] += total  # adding the carry first keeps the sum sequential
+        np.cumsum(piece, out=piece)
+        total = piece[-1]
+        if sign < 0:
+            np.negative(piece, out=piece)
+        if m + len(piece) > start:
+            yield piece[max(start - m, 0):]
+        m += len(piece)
+
+
+def _exppoly_along(s: ExpPoly, sign: int, a: int, b: int) -> np.ndarray:
+    """s(sign * m) for 0 <= a <= m < b, with phases from a block table.
+
+    e^{i t m} = e^{i t qB} e^{i t r} for m = qB + r: one complex product per
+    sample, not one exp.  Blocks are counted from 0 (and n < 0 is read as
+    t -> -t at |n|), so the rounding of t qB and t r adds up to at most that
+    of t m, and a phase is as accurate as the direct e^{i t m} plus a few ulp.
+    On the first block the block phase is 1 and the products run in the
+    direct formula's operand order, so |n| < B gets the direct values.
+    """
+    out = np.zeros(b - a, dtype=complex)
+    q0, r0 = divmod(a, PHASE_BLOCK)
+    rows = (b - 1) // PHASE_BLOCK - q0 + 1
+    residues = np.arange(PHASE_BLOCK) if rows > 1 else np.arange(r0, r0 + b - a)
+    table = np.empty((rows, len(residues)), dtype=complex)
+    phases = table.ravel()[r0 if rows > 1 else 0:][:b - a]
+    ns = None
+    for term in s.terms:
+        t = sign * term.freq.t
+        block = np.exp(1j * (t * PHASE_BLOCK) * np.arange(q0, q0 + rows))
+        row = np.exp(1j * t * residues)
+        if term.degree() == 0:
+            np.multiply(row, term.coeffs[0] * block[:, None], out=table)
+            out += phases
+            continue
+        np.multiply(row, block[:, None], out=table)
+        if ns is None:
+            ns = sign * np.arange(a, b, dtype=float)
+        poly = np.full(b - a, term.coeffs[-1])
+        for c in term.coeffs[-2::-1]:  # Horner, in place
+            poly *= ns
+            poly += c
+        np.multiply(phases, poly, out=poly)
+        out += poly
+    return out
 
 
 def signal_is_zero(s: Signal, tol: float = 0.0) -> bool:

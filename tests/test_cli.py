@@ -207,6 +207,12 @@ class TestIntegrate:
                             "--probe", "100,1000,10000")
         assert code == 1 and out == ""
 
+    def test_probe_radius_is_bounded(self, tmp_path, capsys):
+        sig = write(tmp_path, "s.json", {"kind": "table", "start": 0, "values": [[1, 0]]})
+        code, out = run(capsys, "integrate", "--signal", sig,
+                        "--probe", "1,1180591620717411303424")
+        assert code == 1 and out == ""
+
 
 class TestOracle:
     def test_laws(self, capsys):

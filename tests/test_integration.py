@@ -1,13 +1,25 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from beurling.errors import UnboundedSupportError
-from beurling.integration import boundedness_probe, cumulative_P, k_transform
+from beurling import integration
+from beurling.errors import UnboundedSupportError, WindowError
+from beurling.integration import (
+    MAX_PROBE_WINDOW,
+    BoundednessVerdict,
+    boundedness_probe,
+    cumulative_P,
+    k_transform,
+)
 from beurling.seq_algebra import FinSeq, delta, fourier_eval
 from beurling.signals import (
+    CHUNK,
     CumSum,
     ExpPoly,
     Geometric,
+    TableSignal,
     constant_signal,
     eval_signal,
     sample_signal,
@@ -105,6 +117,168 @@ class TestBoundednessProbe:
             boundedness_probe(ExpPoly(), [100])
         with pytest.raises(ValueError):
             boundedness_probe(ExpPoly(), [100, 100])
+
+
+def whole_window_range(s, lo, hi):
+    """Reference evaluation on [lo, hi] in one piece: direct exps per point,
+    and a running sum as one prefix array over the whole span."""
+    ns = np.arange(lo, hi + 1)
+    if isinstance(s, ExpPoly):
+        out = np.zeros(len(ns), dtype=complex)
+        for term in s.terms:
+            poly = np.zeros(len(ns), dtype=complex)
+            for j in range(len(term.coeffs) - 1, -1, -1):
+                poly = poly * ns + term.coeffs[j]
+            out += np.exp(1j * term.freq.t * ns) * poly
+        return out
+    if isinstance(s, CumSum):
+        span_lo, span_hi = min(lo, 0) + 1, max(hi, 0)
+        if span_hi < span_lo:
+            return np.zeros(len(ns), dtype=complex)
+        prefix = np.concatenate(([0j], np.cumsum(whole_window_range(s.inner, span_lo, span_hi))))
+        return prefix[ns - span_lo + 1] - prefix[1 - span_lo]
+    if isinstance(s, TableSignal):
+        if lo < s.start or hi > s.end:
+            raise WindowError(f"range [{lo}, {hi}] outside table window [{s.start}, {s.end}]")
+        return np.asarray(s.values[lo - s.start: hi - s.start + 1], dtype=complex)
+    out = np.empty(len(ns), dtype=complex)  # Geometric
+    with np.errstate(over="ignore"):
+        mag = np.power(float(s.ratio), ns.astype(float))
+        out.real, out.imag = (c * mag if c else 0.0 for c in (s.scale.real, s.scale.imag))
+    return out
+
+
+def whole_window_probe(s, windows):
+    """Reference probe: |phi| over the whole top window at once, then the
+    same decision rules as boundedness_probe."""
+    top = windows[-1]
+    vals = np.abs(whole_window_range(s, -top, top))
+    sups = [float(np.max(vals[top - w:top + w + 1])) for w in windows]
+    for w, sup in zip(windows, sups):
+        if not math.isfinite(sup):
+            raise ValueError(f"sup of |phi| over window {w} is {sup}")
+    trace = tuple(zip(windows, sups))
+    last, prev = sups[-1], sups[-2]
+    if abs(last - prev) <= integration.STABILIZE_REL * max(last, 1e-12):
+        return BoundednessVerdict("bounded", trace)
+    increments = [b - a for a, b in zip(sups, sups[1:])]
+    ratio = None
+    if len(increments) >= 2 and increments[-2] > 0:
+        ratio = increments[-1] / increments[-2]
+        if ratio <= integration.INCREMENT_DECAY:
+            return BoundednessVerdict("bounded", trace)
+    decades = math.log10(windows[-1] / windows[-2])
+    if prev > 0 and last <= prev * (1.0 + integration.SLOW_GROWTH_PER_DECADE * decades):
+        return BoundednessVerdict("bounded", trace)
+    if (ratio is not None and ratio >= integration.SUPERLINEAR_RATIO
+            and last >= 1.1 * prev):
+        return BoundednessVerdict("unboundedTrend", trace)
+    return BoundednessVerdict("inconclusive", trace)
+
+
+def _outcome(probe, s, windows):
+    """The verdict and trace, or the error class and the window it names."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return probe(s, windows)
+    except WindowError:
+        return "WindowError"
+    except ValueError as exc:
+        return ("ValueError", str(exc).split(" is ")[0])
+
+
+#: Windows at chunk edges: the streamed probe cuts its chunks there.
+EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
+SAMPLED = ExpPoly([(0.4, (1,)), (2.2, (-0.5j,))])
+
+
+def _signals(top):
+    """Each signal class, with tables covering exactly the samples a probe
+    to ``top`` reads: [-top, top], and [-top+1, top] under a running sum."""
+    return {
+        "expPoly": ExpPoly([(0.9, (1,)), (2.3, (0.5j, 1e-4))]),
+        "cumsum": CumSum(ExpPoly([(0.5, (1,)), (1.7, (0.3j,)), (2.9, (-0.4,))])),
+        "cumsum2": CumSum(CumSum(ExpPoly([(0.5, (1,)), (2.0, (0.2j,))]))),
+        "geometric": Geometric(1.0005, 1 - 2j),
+        "table": sample_signal(SAMPLED, -top, top),
+        "cumsumTable": CumSum(sample_signal(SAMPLED, -top + 1, top)),
+    }
+
+
+class TestProbeParity:
+    @pytest.mark.parametrize("top", EDGES)
+    @pytest.mark.parametrize("kind", list(_signals(1)))
+    def test_same_verdict_and_sups_as_the_whole_window(self, top, kind):
+        s = _signals(top)[kind]
+        windows = [7] + [w for w in EDGES if w < top] + [top]
+        new, ref = boundedness_probe(s, windows), whole_window_probe(s, windows)
+        assert new.verdict == ref.verdict
+        assert [w for w, _ in new.sup_trace] == windows
+        for (_, a), (_, b) in zip(new.sup_trace, ref.sup_trace):
+            assert abs(a - b) <= 1e-12 * b
+
+    @pytest.mark.parametrize("top", [CHUNK, 2 * CHUNK + 1])
+    def test_same_window_errors(self, top):
+        windows = [10, top]
+        short = [TableSignal(-top + 1, np.ones(2 * top)),      # misses -top
+                 TableSignal(-top, np.ones(2 * top)),          # misses top
+                 CumSum(TableSignal(-top + 2, np.ones(2 * top - 1))),
+                 CumSum(TableSignal(-top + 1, np.ones(2 * top - 1)))]
+        for s in short:
+            assert _outcome(boundedness_probe, s, windows) == "WindowError"
+            assert _outcome(whole_window_probe, s, windows) == "WindowError"
+
+    @pytest.mark.parametrize("s, window", [
+        (Geometric(2), 1025),
+        (Geometric(0.5, -1j), 1025),
+        (CumSum(Geometric(2)), 1023),  # 2^1024 - 2 rounds up to inf at n = 1023
+        # P phi(-m) = -(2^m - 1)(1 + i) stays finite below m = 1024; the whole-window
+        # reference subtracts two infinite prefixes there and reads nan from window 100
+        (CumSum(Geometric(0.5, 1 + 1j)), 1025),
+        (TableSignal(-CHUNK - 1, np.where(np.arange(-CHUNK - 1, CHUNK + 2) == -500, np.inf, 1.0)), 600),
+        (CumSum(TableSignal(-CHUNK, np.where(np.arange(-CHUNK, CHUNK + 2) == 700, np.nan, 1.0))), 1023),
+    ])
+    def test_same_non_finite_errors(self, s, window):
+        windows = [100, 600, 1023, 1025, 2000, CHUNK + 1]
+        assert _outcome(boundedness_probe, s, windows) == ("ValueError", f"sup of |phi| over window {window}")
+        assert _outcome(whole_window_probe, s, windows)[0] == "ValueError"
+
+
+def test_running_sum_near_zero_is_exact_on_a_growing_table():
+    # The whole-window reference differences two prefix sums of size ~1e5
+    # and loses about 6e-12 near 0; summing outward from 0 does not.
+    top = 2 * CHUNK
+    table = sample_signal(ExpPoly([(0.4, (1, 0.3j))]), -top + 1, top)
+    sups = dict(boundedness_probe(CumSum(table), [3, 7, top]).sup_trace)
+    inner = np.array(table.values)
+    for w in (3, 7):
+        exact = max(abs(complex(math.fsum(side.real), math.fsum(side.imag)))
+                    for m in range(1, w + 1)
+                    for side in (inner[top: top + m], -inner[top - m: top]))
+        assert abs(sups[w] - exact) <= 4 * np.finfo(float).eps * exact
+
+
+class TestProbeRadius:
+    @pytest.mark.parametrize("top", [2 ** 70, MAX_PROBE_WINDOW + 1])
+    def test_refused_before_evaluating(self, top):
+        # evaluating this one-sample table anywhere but 0 would raise WindowError
+        with pytest.raises(ValueError, match="MAX_PROBE_WINDOW") as err:
+            boundedness_probe(TableSignal(0, [1.0]), [1, top])
+        assert not isinstance(err.value, WindowError)
+
+    def test_admits_the_streaming_target(self):
+        assert MAX_PROBE_WINDOW >= 10 ** 8
+
+    def test_memory_is_o_chunk(self):
+        s = CumSum(ExpPoly([(0.5, (1,))]))
+        tracemalloc.start()
+        try:
+            probe = boundedness_probe(s, [10, 10 ** 7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probe.verdict == "bounded"
+        assert peak < 16 * 2 ** 20
 
 
 class TestSpectrumOfIntegral:

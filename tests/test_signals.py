@@ -6,6 +6,8 @@ import pytest
 from beurling.errors import WindowError
 from beurling.seq_algebra import CirclePoint, FinSeq, convolve, delta, fourier_eval
 from beurling.signals import (
+    CHUNK,
+    PHASE_BLOCK,
     CumSum,
     ExpPoly,
     Geometric,
@@ -17,6 +19,7 @@ from beurling.signals import (
     eval_signal,
     eval_signal_range,
     modulate_signal,
+    outward_chunks,
     sample_signal,
     signal_is_zero,
     translate_signal,
@@ -105,6 +108,76 @@ class TestEval:
             else:
                 want = -sum(eval_signal(inner, j) for j in range(n + 1, 1))
             assert abs(vals[i] - want) <= 1e-12 * (1 + abs(want))
+
+
+def direct_exppoly_range(s, lo, hi):
+    """Reference: one exp per point and term, Horner on fresh arrays."""
+    ns = np.arange(lo, hi + 1)
+    out = np.zeros(len(ns), dtype=complex)
+    for term in s.terms:
+        poly = np.zeros(len(ns), dtype=complex)
+        for j in range(len(term.coeffs) - 1, -1, -1):
+            poly = poly * ns + term.coeffs[j]
+        out += np.exp(1j * term.freq.t * ns) * poly
+    return out
+
+
+class TestPhaseTable:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("length", [1, PHASE_BLOCK - 1, PHASE_BLOCK, PHASE_BLOCK + 1])
+    @pytest.mark.parametrize("offset", [-10**9, -10**5, -5, 10**5, 10**9])
+    def test_within_rounding_of_the_direct_formula(self, degree, length, offset):
+        # |new - direct| <= 4 eps (1 + |t n|) sum_j |c_j| |n|^j at every point
+        rng = np.random.default_rng(abs(offset) % 97 + 10 * degree + length)
+        for _ in range(4):
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            s = ExpPoly([(rng.uniform(-np.pi, np.pi), coeffs)])
+            for lo in (offset, offset - length + 1, offset - int(rng.integers(PHASE_BLOCK))):
+                hi = lo + length - 1
+                ns = np.abs(np.arange(lo, hi + 1, dtype=float))
+                scale = sum(abs(c) * ns ** j for j, c in enumerate(coeffs))
+                bound = 4 * self.EPS * (1 + s.terms[0].freq.t * ns) * scale
+                err = np.abs(eval_signal_range(s, lo, hi) - direct_exppoly_range(s, lo, hi))
+                assert np.all(err <= bound), (lo, hi, float(np.max(err / bound)))
+
+    def test_range_across_zero_matches_pointwise(self):
+        s = ExpPoly([(0.9, (1, -2j, 0.5)), (2.3, (1j,))])
+        lo, hi = -3 * PHASE_BLOCK - 7, 2 * PHASE_BLOCK + 5
+        vals = eval_signal_range(s, lo, hi)
+        for n in (lo, -PHASE_BLOCK - 1, -PHASE_BLOCK, -1, 0, 1, PHASE_BLOCK, hi):
+            assert vals[n - lo] == pytest.approx(eval_signal(s, n), rel=1e-12)
+
+
+class TestOutwardChunks:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("start, stop", [(0, 1), (0, CHUNK + 2), (1, 2 * CHUNK + 1),
+                                             (CHUNK - 1, CHUNK + 1), (5, 9)])
+    def test_nested_cumsum_streams_the_whole_range(self, sign, start, stop):
+        s = CumSum(CumSum(ExpPoly([(0.5, (1,)), (2.0, (0.2j, 0.01))])))
+        chunks = list(outward_chunks(s, sign, start, stop))
+        assert all(len(c) <= CHUNK for c in chunks)
+        got = np.concatenate(chunks)
+        lo, hi = sorted((sign * start, sign * (stop - 1)))
+        want = eval_signal_range(s, lo, hi)
+        assert np.array_equal(got, want if sign > 0 else want[::-1])
+
+    def test_running_sum_matches_a_whole_cumsum(self):
+        inner = ExpPoly([(0.7, (1.0, 0.5j))])
+        got = np.concatenate(list(outward_chunks(CumSum(inner), 1, 0, 3 * CHUNK)))
+        want = np.concatenate(([0j], np.cumsum(eval_signal_range(inner, 1, 3 * CHUNK - 1))))
+        assert np.array_equal(got, want)  # the carry keeps the sum sequential
+
+    def test_table_read_only_on_the_running_sum_domain(self):
+        # P phi on [-4, 6] reads phi on [-3, 6] and nowhere else
+        table = TableSignal(-3, np.arange(1.0, 11.0))
+        vals = eval_signal_range(CumSum(table), -4, 6)
+        assert vals[4] == 0 and vals[-1] == pytest.approx(sum(range(5, 11)))
+        with pytest.raises(WindowError):
+            eval_signal_range(CumSum(table), -5, 6)
+        with pytest.raises(WindowError):
+            eval_signal_range(CumSum(table), -4, 7)
 
 
 class TestDifference:
