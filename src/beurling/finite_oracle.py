@@ -6,15 +6,20 @@ sums, character multiplication, differences, constants) become exact
 identities between index sets.  This module is the ground-truth oracle the
 symbolic pipelines are checked against.
 
-The DFT, its inverse and cyclic convolution go through ``np.fft``.  q is
-capped at ``MAX_Q``, which bounds the size of input taken from the CLI.
+A signal holds its q values as one read-only complex array, so the DFT, its
+inverse and cyclic convolution hand arrays straight to ``np.fft``.  The law
+suite draws its trials in blocks of (T, q) arrays and checks each law with
+one FFT along the rows and one vectorised support comparison per block; a
+block holds about ``BLOCK_ELEMENTS`` values whatever q, so memory does not
+grow with the trial count.  q is capped at ``MAX_Q``, which bounds the size
+of input taken from the CLI.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,27 +30,45 @@ MAX_Q = 4096
 #: never near the threshold.
 SUPPORT_TOL = 1e-9
 
+#: Values per (T, q) array in one block of the law suite: T = this // q
+#: trials (at least one) run together.
+BLOCK_ELEMENTS = 2 ** 15
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class CyclicSignal:
-    """A function on Z_q given by its q values."""
+    """A function on Z_q given by its q values (a read-only complex array).
+
+    Equal when q and every value agree; the hash agrees with that.
+    """
 
     q: int
-    values: tuple[complex, ...]
+    values: np.ndarray
 
-    def __init__(self, q: int, values: Sequence[complex]):
+    def __init__(self, q: int, values: Sequence[complex] | np.ndarray):
         if q < 1:
             raise ValueError("q must be >= 1")
         if q > MAX_Q:
             raise ValueError(f"q = {q} exceeds the oracle cap {MAX_Q}")
-        values = tuple(complex(v) for v in values)
+        values = np.array(values, dtype=complex)  # a copy: callers keep theirs
+        if values.ndim != 1:
+            raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
         if len(values) != q:
             raise ValueError(f"need exactly {q} values, got {len(values)}")
+        values.flags.writeable = False
         object.__setattr__(self, "q", int(q))
         object.__setattr__(self, "values", values)
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
+        return self.values
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CyclicSignal):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.q, (self.values + 0.0).tobytes()))  # + 0.0 folds -0.0 into 0.0
 
 
 def dft(phi: CyclicSignal) -> np.ndarray:
@@ -66,6 +89,14 @@ def convolve_cyclic(f: CyclicSignal, g: CyclicSignal) -> CyclicSignal:
     return CyclicSignal(f.q, np.fft.ifft(dft(f) * dft(g)))
 
 
+def _support(mag: np.ndarray, tol: float, floor: float | np.ndarray = 0.0) -> np.ndarray:
+    """Support mask of transform magnitudes, row by row along the last axis:
+    the entries above max(tol * peak, floor), where peak is the row's
+    largest.  A row whose peak is zero (or at most ``floor``) has none."""
+    peak = mag.max(axis=-1, keepdims=True)
+    return (mag > np.maximum(tol * peak, floor)) & (peak > 0)
+
+
 def spectrum_finite(
     phi: CyclicSignal, tol: float = SUPPORT_TOL, *, floor: float = 0.0
 ) -> frozenset[int]:
@@ -76,13 +107,7 @@ def spectrum_finite(
     scale of a parent signal (an operation that cancels a signal exactly
     leaves rounding noise whose *relative* support is meaningless).
     """
-    hat = np.abs(dft(phi))
-    peak = float(np.max(hat))
-    if peak <= floor or peak == 0.0:
-        return frozenset()
-    return frozenset(
-        int(k) for k in np.nonzero(hat > max(tol * peak, floor))[0]
-    )
+    return frozenset(np.flatnonzero(_support(np.abs(dft(phi)), tol, floor)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +134,82 @@ class LawSuiteReport:
         return not self.failures
 
 
+def _polar(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex numbers with magnitude uniform in [0.5, 2] and uniform phase."""
+    return rng.uniform(0.5, 2.0, shape) * np.exp(2j * math.pi * rng.random(shape))
+
+
+def _random_transform(rng: np.random.Generator, shape, zero_prob: float) -> np.ndarray:
+    """DFT coefficients, each 0 with probability ``zero_prob`` and otherwise
+    drawn by ``_polar``."""
+    return np.where(rng.random(shape) < zero_prob, 0.0, _polar(rng, shape))
+
+
 def random_cyclic_signal(q: int, rng: np.random.Generator, zero_prob: float = 0.5) -> CyclicSignal:
     """Signal drawn through its transform: each DFT coefficient is 0 with
     probability ``zero_prob``, otherwise has magnitude in [0.5, 2] and a
     uniform phase.  Support decisions are unambiguous by construction."""
-    mags = np.where(rng.random(q) < zero_prob, 0.0, rng.uniform(0.5, 2.0, q))
-    phases = np.exp(2j * math.pi * rng.random(q))
-    return idft(mags * phases)
+    return idft(_random_transform(rng, q, zero_prob))
+
+
+#: One law checked on a block: its letter, which rows pass, and the detail
+#: text for a failing row.
+_Law = tuple[str, np.ndarray, Callable[[int], str]]
+
+
+def _law_block(rng: np.random.Generator, q: int, count: int) -> list[_Law]:
+    """The eight law checks on ``count`` fresh trials, one row per trial."""
+    ns = np.arange(q)
+    rows = np.arange(count)[:, None]
+
+    def spec(x: np.ndarray, floor: float | np.ndarray = 0.0) -> np.ndarray:
+        return _support(np.abs(np.fft.fft(x, axis=1)), SUPPORT_TOL, floor)
+
+    def same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.all(a == b, axis=1)
+
+    def inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return ~np.any(a & ~b, axis=1)
+
+    def listed(mask: np.ndarray) -> list[int]:
+        return np.flatnonzero(mask).tolist()
+
+    phi = np.fft.ifft(_random_transform(rng, (count, q), 0.5), axis=1)
+    psi = np.fft.ifft(_random_transform(rng, (count, q), 0.5), axis=1)
+    hat_phi = np.abs(np.fft.fft(phi, axis=1))
+    sp_phi = _support(hat_phi, SUPPORT_TOL)
+    sp_psi = spec(psi)
+
+    y = rng.integers(0, q, count)
+    sp_a = spec(phi[rows, (ns + y[:, None]) % q])  # phi(n + y)
+    k = _polar(rng, count)
+    sp_b = spec(k[:, None] * phi)
+    sp_c = spec(phi + psi)
+    j = rng.integers(0, q, count)
+    sp_d = spec(np.exp(2j * math.pi * (j[:, None] * ns % q) / q) * phi)
+    rotated = sp_phi[rows, (ns - j[:, None]) % q]
+    m = rng.integers(1, q, count) if q > 1 else np.ones(count, dtype=int)
+    killed = (ns * m[:, None]) % q == 0
+    # a difference that cancels everything leaves only rounding noise;
+    # judge its support against the parent transform's scale
+    noise_floor = SUPPORT_TOL * hat_phi.max(axis=1, keepdims=True)
+    sp_e = spec(phi[rows, (ns + m[:, None]) % q] - phi, noise_floor)
+    c = _polar(rng, count)
+    sp_const = spec(np.broadcast_to(c[:, None], (count, q)))
+    sp_zero = spec(np.zeros((count, q), dtype=complex))
+
+    return [
+        ("a", same(sp_a, sp_phi),
+         lambda i: f"translate by {y[i]}: {listed(sp_a[i])} != {listed(sp_phi[i])}"),
+        ("b", same(sp_b, sp_phi), lambda i: f"scale by {complex(k[i])}"),
+        ("c", inside(sp_c, sp_phi | sp_psi),
+         lambda i: f"sum spectrum {listed(sp_c[i])} escapes union"),
+        ("d", same(sp_d, rotated), lambda i: f"character multiply by {j[i]}"),
+        ("e", same(sp_e, sp_phi & ~killed), lambda i: f"difference by {m[i]}"),
+        ("e", inside(sp_e, sp_phi), lambda i: f"difference by {m[i]} grew"),
+        ("f", same(sp_const, ns == 0), lambda i: "non-zero constant"),
+        ("f", ~np.any(sp_zero, axis=1), lambda i: "zero signal"),
+    ]
 
 
 def law_suite_finite(q: int, trials: int, seed: int) -> LawSuiteReport:
@@ -130,59 +224,24 @@ def law_suite_finite(q: int, trials: int, seed: int) -> LawSuiteReport:
     * (e) differencing by m removes exactly the characters k with
       k m = 0 mod q, hence shrinks the spectrum;
     * (f) non-zero constants have spectrum {0}; zero has empty spectrum.
+
+    Trials run in blocks of ``BLOCK_ELEMENTS // q`` (at least one); a
+    failure names the law and the trial's index in the whole run.
     """
+    if not 1 <= q <= MAX_Q:
+        raise ValueError(f"q must lie in 1..{MAX_Q}, got {q}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    failures: list[LawFailure] = []
+    block = max(1, BLOCK_ELEMENTS // q)
     checks = 0
-
-    def expect(law: str, trial: int, ok: bool, detail: str):
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(LawFailure(law, trial, detail))
-
-    ns = np.arange(q)
-    for trial in range(trials):
-        phi = random_cyclic_signal(q, rng)
-        psi = random_cyclic_signal(q, rng)
-        sp_phi = spectrum_finite(phi)
-        sp_psi = spectrum_finite(psi)
-
-        y = int(rng.integers(0, q))
-        translated = CyclicSignal(q, np.roll(phi.array(), -y))
-        expect("a", trial, spectrum_finite(translated) == sp_phi,
-               f"translate by {y}: {sorted(spectrum_finite(translated))} != {sorted(sp_phi)}")
-
-        k = complex(rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.random()))
-        expect("b", trial, spectrum_finite(CyclicSignal(q, k * phi.array())) == sp_phi,
-               f"scale by {k}")
-
-        total = CyclicSignal(q, phi.array() + psi.array())
-        expect("c", trial, spectrum_finite(total) <= (sp_phi | sp_psi),
-               f"sum spectrum {sorted(spectrum_finite(total))} escapes union")
-
-        j = int(rng.integers(0, q))
-        modulated = CyclicSignal(q, np.exp(2j * math.pi * j * ns / q) * phi.array())
-        rotated = frozenset((k0 + j) % q for k0 in sp_phi)
-        expect("d", trial, spectrum_finite(modulated) == rotated,
-               f"character multiply by {j}")
-
-        m = int(rng.integers(1, q)) if q > 1 else 1
-        diff = CyclicSignal(q, np.roll(phi.array(), -m) - phi.array())
-        killed = frozenset(k0 for k0 in sp_phi if (k0 * m) % q == 0)
-        # a difference that cancels everything leaves only rounding noise;
-        # judge its support against the parent transform's scale
-        noise_floor = SUPPORT_TOL * float(np.max(np.abs(dft(phi))))
-        sp_diff = spectrum_finite(diff, floor=noise_floor)
-        expect("e", trial, sp_diff == sp_phi - killed, f"difference by {m}")
-        expect("e", trial, sp_diff <= sp_phi, f"difference by {m} grew")
-
-        c = complex(rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.random()))
-        expect("f", trial, spectrum_finite(CyclicSignal(q, [c] * q)) == frozenset({0}),
-               "non-zero constant")
-        expect("f", trial, spectrum_finite(CyclicSignal(q, [0.0] * q)) == frozenset(),
-               "zero signal")
-
+    failures: list[LawFailure] = []
+    for start in range(0, trials, block):
+        laws = _law_block(rng, q, min(block, trials - start))
+        checks += sum(ok.size for _, ok, _ in laws)
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for _, ok, _ in laws]))
+        failures += [LawFailure(law, start + int(i), detail(i))
+                     for i in bad for law, ok, detail in laws if not ok[i]]
     return LawSuiteReport(q=q, trials=trials, seed=seed, checks=checks,
                           failures=tuple(failures))
 

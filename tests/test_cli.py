@@ -222,6 +222,13 @@ class TestOracle:
         assert code == 0 and payload["passed"] is True
         assert payload["checks"] == 50 * 8
 
+    @pytest.mark.parametrize("q, trials", [("5000", "0"), ("8", "-3"), ("0", "1")])
+    def test_bad_size_exits_1(self, capsys, q, trials):
+        code = main(["oracle", "laws", "--q", q, "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestVerify:
     def test_single_suite(self, capsys):

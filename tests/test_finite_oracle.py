@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from beurling import finite_oracle
 from beurling.finite_oracle import (
+    MAX_Q,
     CyclicSignal,
+    LawFailure,
     convolve_cyclic,
     dft,
     idft,
@@ -27,6 +30,52 @@ def direct_idft(hat):
     q = len(hat)
     n = np.arange(q)
     return np.exp(2j * math.pi * np.outer(n, n) / q) @ hat / q
+
+
+def looped_law_suite(q, trials, seed):
+    """Reference: the law suite one trial at a time with index sets, on the
+    draws the blocked suite makes (same generator calls, block by block)."""
+    tol = finite_oracle.SUPPORT_TOL
+    block = max(1, finite_oracle.BLOCK_ELEMENTS // q)
+    rng = np.random.default_rng(seed)
+    failures = []
+    for start in range(0, trials, block):
+        count = min(block, trials - start)
+        phis = np.fft.ifft(finite_oracle._random_transform(rng, (count, q), 0.5), axis=1)
+        psis = np.fft.ifft(finite_oracle._random_transform(rng, (count, q), 0.5), axis=1)
+        ys = rng.integers(0, q, count)
+        ks = finite_oracle._polar(rng, count)
+        js = rng.integers(0, q, count)
+        ms = rng.integers(1, q, count) if q > 1 else np.ones(count, dtype=int)
+        cs = finite_oracle._polar(rng, count)
+        for i in range(count):
+            trial, phi, psi = start + i, CyclicSignal(q, phis[i]), CyclicSignal(q, psis[i])
+            y, k, j, m = int(ys[i]), complex(ks[i]), int(js[i]), int(ms[i])
+
+            def expect(law, ok, detail):
+                if not ok:
+                    failures.append(LawFailure(law, trial, detail))
+
+            sp_phi = spectrum_finite(phi, tol)
+            sp_psi = spectrum_finite(psi, tol)
+            sp_a = spectrum_finite(CyclicSignal(q, np.roll(phi.array(), -y)), tol)
+            expect("a", sp_a == sp_phi, f"translate by {y}: {sorted(sp_a)} != {sorted(sp_phi)}")
+            expect("b", spectrum_finite(CyclicSignal(q, k * phi.array()), tol) == sp_phi,
+                   f"scale by {k}")
+            sp_c = spectrum_finite(CyclicSignal(q, phi.array() + psi.array()), tol)
+            expect("c", sp_c <= (sp_phi | sp_psi), f"sum spectrum {sorted(sp_c)} escapes union")
+            chars = np.exp(2j * math.pi * (j * np.arange(q) % q) / q)
+            expect("d", spectrum_finite(CyclicSignal(q, chars * phi.array()), tol)
+                   == {(k0 + j) % q for k0 in sp_phi}, f"character multiply by {j}")
+            diff = CyclicSignal(q, np.roll(phi.array(), -m) - phi.array())
+            floor = tol * float(np.max(np.abs(dft(phi))))
+            sp_e = spectrum_finite(diff, tol, floor=floor)
+            expect("e", sp_e == {k0 for k0 in sp_phi if (k0 * m) % q}, f"difference by {m}")
+            expect("e", sp_e <= sp_phi, f"difference by {m} grew")
+            expect("f", spectrum_finite(CyclicSignal(q, [cs[i]] * q), tol) == {0},
+                   "non-zero constant")
+            expect("f", spectrum_finite(CyclicSignal(q, [0] * q), tol) == set(), "zero signal")
+    return tuple(failures)
 
 
 class TestDft:
@@ -66,6 +115,33 @@ class TestDft:
             CyclicSignal(3, [1, 2])
         with pytest.raises(ValueError):
             CyclicSignal(5000, [0] * 5000)
+
+
+class TestCyclicSignal:
+    def test_array_is_read_only(self):
+        phi = CyclicSignal(4, [1, 2, 3, 4])
+        with pytest.raises(ValueError):
+            phi.array()[0] = 7
+        assert phi.array()[0] == 1
+
+    def test_source_is_copied(self):
+        source = np.array([1.0, 2.0, 3.0])
+        phi = CyclicSignal(3, source)
+        source[0] = 9.0
+        assert phi.array().tolist() == [1, 2, 3]
+
+    def test_equality_and_hash_agree(self):
+        a = CyclicSignal(3, [1, 2j, 0.0])
+        b = CyclicSignal(3, np.array([1, 2j, -0.0]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != CyclicSignal(3, [1, 2j, 1e-300])
+        assert CyclicSignal(1, [0]) != CyclicSignal(2, [0, 0])
+        assert a != (1, 2j, 0.0)
+
+    def test_two_dimensional_input_refused(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            CyclicSignal(2, [[1], [2]])
 
 
 class TestSpectrumFinite:
@@ -119,6 +195,49 @@ class TestLawSuite:
         a = law_suite_finite(8, 10, seed=3)
         b = law_suite_finite(8, 10, seed=3)
         assert a == b
+
+    def test_input_validated(self):
+        for q, trials in ((0, 1), (MAX_Q + 1, 0), (8, -3)):
+            with pytest.raises(ValueError):
+                law_suite_finite(q, trials, seed=0)
+        empty = law_suite_finite(8, 0, seed=0)
+        assert empty.ok and empty.checks == 0
+
+    @pytest.mark.parametrize("q, trials", [
+        (1, 20),
+        (MAX_Q, 2 * (finite_oracle.BLOCK_ELEMENTS // MAX_Q) + 3),  # three blocks
+    ])
+    def test_extreme_group_orders(self, q, trials):
+        report = law_suite_finite(q, trials, seed=5)
+        assert report.ok and report.checks == 8 * trials
+
+    def test_failures_name_law_and_global_trial(self, monkeypatch):
+        # above the largest magnitude every support is empty, so only the
+        # non-zero constant law fails, and it fails in every trial
+        monkeypatch.setattr(finite_oracle, "SUPPORT_TOL", 2.0)
+        q = 1024
+        trials = 2 * (finite_oracle.BLOCK_ELEMENTS // q) + 5
+        report = law_suite_finite(q, trials, seed=7)
+        assert report.checks == trials * 8
+        assert report.failures == tuple(
+            LawFailure("f", t, "non-zero constant") for t in range(trials))
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("q", [1, 2, 7, 64, 1024])
+    def test_matches_looped_reference(self, monkeypatch, q, tol):
+        # above 1e-9 the tolerance drops transform entries unevenly, so
+        # sums and differences break their laws in some trials
+        monkeypatch.setattr(finite_oracle, "SUPPORT_TOL", tol)
+        monkeypatch.setattr(finite_oracle, "BLOCK_ELEMENTS", 4 * q)  # 4 trials a block
+        trials = 14
+        report = law_suite_finite(q, trials, seed=q)
+        assert report.checks == 8 * trials
+        assert report.failures == looped_law_suite(q, trials, seed=q)
+        if tol == 1e-9:
+            assert report.ok
+        if tol == 0.6 and q >= 64:
+            assert {f.law for f in report.failures} == {"c", "e"}
+            assert max(f.trial for f in report.failures) >= 8
 
     def test_modulation_rotates_support(self):
         q = 8
