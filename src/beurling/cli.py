@@ -16,12 +16,16 @@ Subcommands bind the library's pipelines to JSON descriptors on disk:
     verify         named verification scenarios (see --help for IDs)
 
 Exit codes: 0 success (verdict produced / all checks passed), 1 input
-error or failed verification, 2 internal failure.
+error or failed verification, 2 internal failure.  Usage errors (an
+unknown subcommand or choice, a malformed or missing option), a negative
+``verify --trials`` and an ``oracle laws --trials`` above
+``finite_oracle.MAX_TRIALS`` are input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -47,8 +51,21 @@ from .verify import SUITE_NAMES, run_suite
 from .weights import analyze_weight
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (an input error); exit 2 is kept for bugs.
+    Subparsers are built from this class too (argparse's parser_class
+    defaults to the parent's type)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The one parser of the process.  parse_args fills a fresh Namespace
+    on every call and no action holds mutable state, so reuse is safe."""
+    parser = _Parser(
         prog="beurling",
         description="weighted harmonic analysis on the integers",
     )

@@ -11,8 +11,9 @@ inverse and cyclic convolution hand arrays straight to ``np.fft``.  The law
 suite draws its trials in blocks of (T, q) arrays and checks each law with
 one FFT along the rows and one vectorised support comparison per block; a
 block holds about ``BLOCK_ELEMENTS`` values whatever q, so memory does not
-grow with the trial count.  q is capped at ``MAX_Q``, which bounds the size
-of input taken from the CLI.
+grow with the trial count.  q is capped at ``MAX_Q`` and the trial count
+at ``MAX_TRIALS``, which bound the size and the running time of input
+taken from the CLI.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 MAX_Q = 4096
+
+#: Largest law-suite trial count.  A trial at q = MAX_Q takes 1.5-1.7 ms,
+#: so the largest run allowed finishes in about three minutes.
+MAX_TRIALS = 100_000
 
 #: DFT magnitudes below this fraction of the peak count as zero.  The law
 #: suite draws spectra with magnitudes in {0} or [0.5, 2], so decisions are
@@ -230,8 +235,8 @@ def law_suite_finite(q: int, trials: int, seed: int) -> LawSuiteReport:
     """
     if not 1 <= q <= MAX_Q:
         raise ValueError(f"q must lie in 1..{MAX_Q}, got {q}")
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in 0..{MAX_TRIALS}, got {trials}")
     rng = np.random.default_rng(seed)
     block = max(1, BLOCK_ELEMENTS // q)
     checks = 0

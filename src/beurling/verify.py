@@ -405,6 +405,8 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 def run_suite(name: str, seed: int = 0, trials: int = 0) -> list[SuiteReport]:
     """Run one named scenario (or every one for "all"); trials = 0 keeps
     each scenario's default count."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     if name == "all":
         names = list(_SUITES)
     elif name in _SUITES:

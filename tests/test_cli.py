@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from beurling import cli
 from beurling.cli import main
 from beurling.descriptors import signal_to_json, weight_to_json
+from beurling.finite_oracle import MAX_TRIALS
 from beurling.signals import ExpPoly, Geometric, TableSignal, sample_signal
 from beurling.weights import ExponentialWeight, PowerWeight, SignalDerivedWeight
 
@@ -222,7 +225,8 @@ class TestOracle:
         assert code == 0 and payload["passed"] is True
         assert payload["checks"] == 50 * 8
 
-    @pytest.mark.parametrize("q, trials", [("5000", "0"), ("8", "-3"), ("0", "1")])
+    @pytest.mark.parametrize("q, trials", [("5000", "0"), ("8", "-3"), ("0", "1"),
+                                           ("8", str(MAX_TRIALS + 1))])
     def test_bad_size_exits_1(self, capsys, q, trials):
         code = main(["oracle", "laws", "--q", q, "--trials", trials])
         captured = capsys.readouterr()
@@ -247,8 +251,70 @@ class TestVerify:
         assert a == b
 
     def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
+        assert exc.value.code == 1
+
+    def test_negative_trials_is_an_input_error(self, capsys):
+        code = main(["verify", "thm-4.4", "--trials", "-3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: ")
+
+
+def round_trip_label(out):
+    return json.loads(out)[0]["checks"][0]["check"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [["oracle", "laws", "--q", "abc"], [], ["seq"]])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == ""
+        assert captured.err.startswith("usage: beurling")
+        assert "error: " in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "laws", "--help"])
+        assert exc.value.code == 0
+        assert "--trials" in capsys.readouterr().out
+
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert run(capsys, "verify", "example-2.4")[0] == 0
+        assert built  # the root parser and every subparser
+        del built[:]
+        assert run(capsys, "verify", "example-2.4")[0] == 0
+        assert built == []
+
+    def test_defaults_do_not_leak(self, tmp_path, capsys):
+        seq = write(tmp_path, "f.json", {"entries": [[0, 1, 0]]})
+        code, out = run(capsys, "seq", "ft", "--seq", seq, "--grid", "8", "--csv")
+        assert code == 0 and out.startswith("t,re,im")
+        code, out = run(capsys, "seq", "ft", "--seq", seq, "--grid", "8")
+        assert code == 0 and json.loads(out)["grid"] == 8
+        code, out = run(capsys, "verify", "thm-4.4", "--trials", "2")
+        assert code == 0 and round_trip_label(out) == "2 synth/recover round trips"
+        code, out = run(capsys, "verify", "thm-4.4")
+        assert code == 0 and round_trip_label(out) == "20 synth/recover round trips"
+
+    def test_valid_call_after_usage_error(self, capsys):
+        expected = run(capsys, "oracle", "laws", "--q", "8", "--trials", "5")
+        with pytest.raises(SystemExit):
+            main(["oracle", "laws", "--q", "abc"])
+        capsys.readouterr()
+        assert run(capsys, "oracle", "laws", "--q", "8", "--trials", "5") == expected
 
 
 class TestErrorPaths:

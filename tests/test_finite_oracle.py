@@ -6,6 +6,7 @@ import pytest
 from beurling import finite_oracle
 from beurling.finite_oracle import (
     MAX_Q,
+    MAX_TRIALS,
     CyclicSignal,
     LawFailure,
     convolve_cyclic,
@@ -202,6 +203,21 @@ class TestLawSuite:
                 law_suite_finite(q, trials, seed=0)
         empty = law_suite_finite(8, 0, seed=0)
         assert empty.ok and empty.checks == 0
+
+    def test_trial_cap(self, monkeypatch):
+        # a stub block keeps the run at the cap cheap; above it nothing is drawn
+        counts = []
+
+        def stub_block(rng, q, count):
+            counts.append(count)
+            return [("a", np.ones(count, dtype=bool), lambda i: "")]
+
+        monkeypatch.setattr(finite_oracle, "_law_block", stub_block)
+        with pytest.raises(ValueError, match=str(MAX_TRIALS)):
+            law_suite_finite(MAX_Q, MAX_TRIALS + 1, seed=0)
+        assert counts == []
+        report = law_suite_finite(1, MAX_TRIALS, seed=0)
+        assert report.ok and report.trials == sum(counts) == report.checks == MAX_TRIALS
 
     @pytest.mark.parametrize("q, trials", [
         (1, 20),
