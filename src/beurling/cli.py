@@ -17,8 +17,8 @@ Subcommands bind the library's pipelines to JSON descriptors on disk:
 
 Exit codes: 0 success (verdict produced / all checks passed), 1 input
 error or failed verification, 2 internal failure.  Usage errors (an
-unknown subcommand or choice, a malformed or missing option), a negative
-``verify --trials`` and an ``oracle laws --trials`` above
+unknown subcommand or choice, a malformed or missing option), and a
+``verify --trials`` or ``oracle laws --trials`` outside 0 ..
 ``finite_oracle.MAX_TRIALS`` are input errors.
 """
 

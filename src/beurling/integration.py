@@ -78,14 +78,14 @@ def k_transform(f: FinSeq, iterations: int = 1, tol: float = 1e-12) -> FinSeq:
     for stage in range(1, iterations + 1):
         if not cur:
             return cur
-        lo, dense = cur._dense()
-        mass = complex(dense.sum())  # the transform at 0
-        if abs(mass) > tol * np.abs(dense).sum():
+        mass = complex(np.sum(cur._v))  # the transform at 0, before any dense span
+        if abs(mass) > tol * cur.abs_sum():
             raise UnboundedSupportError(
                 f"transform at 0 is {mass} at stage {stage}; the running sum "
                 "does not stay finitely supported",
                 stage=stage,
             )
+        lo, dense = cur._dense()
         cur = FinSeq._from_dense(lo, np.cumsum(dense))  # prunes cancellation noise
     return cur
 
@@ -115,7 +115,8 @@ def boundedness_probe(s: Signal, windows: Sequence[int]) -> BoundednessVerdict:
     ring_sup = np.zeros(len(windows))  # ring i holds w_{i-1} < |n| <= w_i
     for sign, start in ((1, 0), (-1, 1)):
         for chunk in outward_chunks(s, sign, start, top + 1):
-            mag = np.abs(chunk)  # |phi(sign * m)| for m from start on
+            with np.errstate(over="ignore"):  # a modulus past the float range is inf
+                mag = np.abs(chunk)  # |phi(sign * m)| for m from start on
             for i, (r_lo, r_hi) in enumerate(rings):
                 seg = mag[max(r_lo - start, 0): max(r_hi - start, 0)]
                 if len(seg):

@@ -418,18 +418,19 @@ def annihilate(f: FinSeq, s: Signal, tol: float = 1e-8) -> AnnihilationResult:
     """
     if not f:
         raise ValueError("annihilator must be a non-zero sequence")
+    pairs = list(f)  # sorted (offset, value)
     if isinstance(s, ExpPoly):
         terms = []
         residual = 0.0
         for term in s.terms:
             q = [0j] * len(term.coeffs)
-            for m, fv in f.entries.items():
+            for m, fv in pairs:
                 factor = fv.conjugate() * cmath.exp(1j * term.freq.t * m)
                 for l, c in enumerate(_poly_shift(term.coeffs, m)):
                     q[l] += factor * c
             scale = sum(
                 abs(fv) * sum(abs(c) * (1.0 + abs(m)) ** j for j, c in enumerate(term.coeffs))
-                for m, fv in f.entries.items()
+                for m, fv in pairs
             )
             trimmed = _poly_trim(q, 1e-10 * scale)
             if trimmed:
@@ -438,9 +439,9 @@ def annihilate(f: FinSeq, s: Signal, tol: float = 1e-8) -> AnnihilationResult:
         out = ExpPoly(terms)
         return AnnihilationResult(out, not out.terms, residual if out.terms else 0.0)
     if isinstance(s, Geometric):
-        factor = sum(fv.conjugate() * s.ratio ** m for m, fv in f.entries.items())
+        factor = sum(fv.conjugate() * s.ratio ** m for m, fv in pairs)
         # zero verdict is scale-aware: the factor is a sum of |f| * r^m terms
-        scale = sum(abs(fv) * s.ratio ** m for m, fv in f.entries.items())
+        scale = sum(abs(fv) * s.ratio ** m for m, fv in pairs)
         if abs(factor) <= 1e-12 * scale:
             factor = 0.0
         out = Geometric(s.ratio, s.scale * factor)
@@ -454,7 +455,7 @@ def annihilate(f: FinSeq, s: Signal, tol: float = 1e-8) -> AnnihilationResult:
             )
         xs = np.arange(lo, hi + 1)
         out = np.zeros(len(xs), dtype=complex)
-        for m, fv in f.entries.items():
+        for m, fv in pairs:
             out += fv.conjugate() * eval_signal_range(s, lo + m, hi + m)
         sup = float(np.max(np.abs(out))) if len(out) else 0.0
         bound = tol * f.abs_sum() * max(abs(v) for v in s.values)

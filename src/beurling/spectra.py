@@ -393,9 +393,8 @@ def spectrum_exppoly(s: ExpPoly) -> SpectrumResult:
 
 def _newton_reaches_zero(f: FinSeq, t: float, reach: float) -> bool:
     """Whether one Newton step from t, |F f / (F f)'|, is at most ``reach``."""
-    ns, vals = f._arrays()
-    rel = np.array([n - ns[0] for n in ns], dtype=float)
-    terms = vals / np.max(np.abs(vals)) * np.exp(-1j * rel * t)
+    rel = (f._n - f._n[0]).astype(float)
+    terms = f._v / np.max(np.abs(f._v)) * np.exp(-1j * rel * t)
     return abs(np.sum(terms)) <= reach * abs(np.sum(terms * rel))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diff_calculus as dc
 from .errors import IdealSaturationError, NotPrimaryError
-from .finite_oracle import law_suite_finite
+from .finite_oracle import MAX_TRIALS, law_suite_finite
 from .integration import boundedness_probe, cumulative_P
 from .seq_algebra import (
     CirclePoint,
@@ -404,9 +404,10 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 def run_suite(name: str, seed: int = 0, trials: int = 0) -> list[SuiteReport]:
     """Run one named scenario (or every one for "all"); trials = 0 keeps
-    each scenario's default count."""
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    each scenario's default count.  Every scenario takes at most
+    ``finite_oracle.MAX_TRIALS`` trials, checked before any draw."""
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in 0..{MAX_TRIALS}, got {trials}")
     if name == "all":
         names = list(_SUITES)
     elif name in _SUITES:

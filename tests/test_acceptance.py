@@ -32,7 +32,7 @@ from beurling.spectra import (
     hull_of_generators,
     spectrum_exppoly,
 )
-from beurling.verify import random_exppoly, random_lattice_poly, roundtrip_gaps
+from beurling.verify import SUITE_NAMES, random_exppoly, random_lattice_poly, roundtrip_gaps, run_suite
 from beurling.weights import ExponentialWeight, check_beurling_domar, check_weight_axioms
 
 
@@ -238,3 +238,10 @@ def test_criterion_7_oracle_root_consistency():
     report(7, mismatches == 0,
            f"50 sequences: circle-root angles on the grid match the cyclic "
            f"transform zero set within 1e-7 ({mismatches} mismatches)")
+
+
+def test_verify_all_passes():
+    reports = run_suite("all", 0)
+    failed = [(r.name, c) for r in reports for c in r.to_json()["checks"] if not c["passed"]]
+    assert [r.name for r in reports] == list(SUITE_NAMES[:-1])
+    assert all(r.passed for r in reports) and not failed, failed

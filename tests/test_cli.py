@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beurling import cli
+from beurling import cli, verify
 from beurling.cli import main
 from beurling.descriptors import signal_to_json, weight_to_json
 from beurling.finite_oracle import MAX_TRIALS
@@ -260,6 +260,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", ["thm-4.4", "thm-3.4", "all"])
+    @pytest.mark.parametrize("trials", [str(MAX_TRIALS + 1), "1000000000"])
+    def test_trials_above_the_cap_exit_1_before_any_draw(self, capsys, monkeypatch, name, trials):
+        def scenario(seed, trials):
+            raise AssertionError("a scenario ran")  # an internal error: exit 2
+
+        for suite in list(verify._SUITES):
+            monkeypatch.setitem(verify._SUITES, suite, scenario)
+        assert main(["verify", name, "--trials", str(MAX_TRIALS)]) == 2  # the cap itself runs
+        capsys.readouterr()
+        code = main(["verify", name, "--trials", trials])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: ") and str(MAX_TRIALS) in captured.err
 
 
 def round_trip_label(out):

@@ -244,6 +244,13 @@ class TestProbeParity:
         assert _outcome(whole_window_probe, s, windows)[0] == "ValueError"
 
 
+def test_modulus_past_the_float_range_reads_inf():
+    # both parts of phi(-936) are finite, and its modulus is not
+    s = Geometric(0.46957801080258676, 1 + 9.375j)
+    with pytest.raises(ValueError, match=r"sup of \|phi\| over window 936 is inf"):
+        boundedness_probe(s, [1, 936])
+
+
 def test_running_sum_near_zero_is_exact_on_a_growing_table():
     # The whole-window reference differences two prefix sums of size ~1e5
     # and loses about 6e-12 near 0; summing outward from 0 does not.

@@ -396,17 +396,18 @@ def _ref_refine_root(coeffs, z0, mult):
         d = _ref_poly_derivative(d)
     dd = _ref_poly_derivative(d)
     z = z0
-    for _ in range(8):
-        fz = _ref_poly_value(d, z)
-        dz = _ref_poly_value(dd, z)
-        if dz == 0:
-            break
-        step = fz / dz
-        if not cmath.isfinite(step) or abs(step) > 0.5:
-            break
-        z -= step
-        if abs(step) < 1e-15 * max(1.0, abs(z)):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # far off the circle: the step is not finite
+        for _ in range(8):
+            fz = _ref_poly_value(d, z)
+            dz = _ref_poly_value(dd, z)
+            if dz == 0:
+                break
+            step = fz / dz
+            if not cmath.isfinite(step) or abs(step) > 0.5:
+                break
+            z -= step
+            if abs(step) < 1e-15 * max(1.0, abs(z)):
+                break
     return z if abs(z - z0) <= 2 * spectra.ROOT_CLUSTER_RADIUS else z0
 
 
