@@ -1,20 +1,18 @@
 """Finite-difference polynomial calculus on integer lattices.
 
 A function is a polynomial of degree n exactly when every (n+1)-fold
-difference vanishes while some n-fold difference survives.  This module
-provides that criterion for symbolic lattice polynomials and for sampled
-grids, the binomial expansion identity
+difference vanishes while some n-fold difference survives, and exactly when
+every restriction t -> phi(x + t y) has degree at most n.  This module
+provides both degrees for symbolic lattice polynomials, the difference
+criterion for sampled grids, and the binomial expansion identity
 
-    phi(x + m y) = sum_{j=0}^{m} C(m, j) (D_y^j phi)(x),
+    phi(x + m y) = sum_{j=0}^{m} C(m, j) (D_y^j phi)(x).
 
-and the directional-restriction degree (the degree of t -> phi(x + t y)
-maximised over probe pairs), which must agree with the difference
-criterion.
-
-For a lattice polynomial, D_y^n p = n! p_n(y) with p_n its top homogeneous
-part, so its degree is read off the homogeneous parts on the certified
-probe set, exactly (floats at their binary values); sampled grids are
-differenced.
+A lattice polynomial's degrees come from one exact expansion, the
+coefficients q_d of t -> p(x + t y) (coefficients at their binary values),
+and one zero rule, d! |q_d| > tol * max|c|.  From the origin q_d = p_d(y),
+p_d the homogeneous part of degree d, and D_y^n p = n! p_n(y) at the top, so
+there the rule is the difference criterion; sampled grids are differenced.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -32,6 +31,9 @@ Vector = tuple[int, ...]
 
 #: Largest probe set (sign directions or witness-grid points) ever built; thm-3.4 needs 6^3.
 MAX_PROBES = 2 ** 16
+
+#: Default tol of the degree zero rule d! |q_d| > tol * max|c|.
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,14 +159,6 @@ def witness_grid(dim: int, bound: int) -> list[Vector]:
 # operations
 
 
-def _probes(phi: LatticePoly) -> list[Vector]:
-    """Probe directions, then the witness grid for phi's total degree,
-    without repeats and in that order."""
-    seen: set[Vector] = set()
-    dirs = probe_directions(phi.dim) + witness_grid(phi.dim, max(phi.total_degree(), 0))
-    return [y for y in dirs if not (y in seen or seen.add(y))]
-
-
 def iterated_difference(phi: GridSignal, directions: Sequence[Sequence[int]]) -> GridSignal:
     """Apply D_{y_1} ... D_{y_k} to a sampled grid; each step shrinks the
     window by |y_i| along each axis."""
@@ -178,8 +172,8 @@ def iterated_difference(phi: GridSignal, directions: Sequence[Sequence[int]]) ->
 
 def _exact_terms(p: LatticePoly) -> list[tuple[Vector, int, int]]:
     """(alpha, a, b) with c_alpha = (a + ib) / den for one common den: every
-    coefficient at its exact binary value.  The zero rules below are
-    homogeneous in the coefficients, so den drops out of them."""
+    coefficient at its exact binary value.  The zero rule below is
+    homogeneous in the coefficients, so den drops out of it."""
     try:
         parts = [(Fraction(c.real), Fraction(c.imag)) for _, c in p.coeffs]
     except (OverflowError, ValueError):
@@ -189,39 +183,55 @@ def _exact_terms(p: LatticePoly) -> list[tuple[Vector, int, int]]:
             for (alpha, _), (re, im) in zip(p.coeffs, parts)]
 
 
-def _exact_value(terms: Sequence[tuple[Vector, int, int]], point: Sequence[int]) -> tuple[int, int]:
-    """Real and imaginary parts of sum (a + ib) point^alpha, in integers."""
-    re = im = 0
+def _restriction(
+    terms: Sequence[tuple[Vector, int, int]], x: Vector, y: Vector
+) -> dict[int, tuple[int, int]]:
+    """Non-zero coefficients q_d = (re, im) of t -> sum (a + ib) (x + t y)^alpha,
+    in integers.  A factor (x_i + t y_i)^e with x_i = 0 or y_i = 0 is one
+    term; the others are binomial expansions, convolved."""
+    q: dict[int, tuple[int, int]] = {}
     for alpha, a, b in terms:
-        mono = math.prod(v ** e for v, e in zip(point, alpha))
-        re, im = re + a * mono, im + b * mono
-    return re, im
+        shift, scale, poly = 0, 1, [1]  # scale * t^shift * sum_k poly[k] t^k
+        for x_i, y_i, e in zip(x, y, alpha):
+            if x_i and y_i:
+                binom = [math.comb(e, k) * x_i ** (e - k) * y_i ** k for k in range(e + 1)]
+                poly = np.convolve(np.array(poly, dtype=object), np.array(binom, dtype=object))
+            else:
+                shift, scale = shift + (0 if x_i else e), scale * (x_i or y_i) ** e
+        for d, c in enumerate(poly, shift):
+            if c := c * scale:
+                re, im = q.get(d, (0, 0))
+                q[d] = (re + a * c, im + b * c)
+    return q
 
 
-def _poly_degree_with_witness(p: LatticePoly, tol: float) -> tuple[int, Optional[Vector]]:
+def _restriction_degree(
+    p: LatticePoly, pairs: Optional[Iterable[tuple[Vector, Vector]]], tol: float
+) -> tuple[int, Optional[Vector]]:
+    """Max over probe pairs (x, y), ``default_probes(p)`` when None, of the
+    largest d with d! |q_d| > tol * max|c| (0 when no d >= 1 passes), and
+    the y of the first pair attaining it; stops at a pair that reaches the
+    total degree.  (-1, None) for p = 0 or tol >= 1, before any probe."""
     terms = _exact_terms(p)
     # max|c| <= tol * max|c| holds exactly when p = 0 or tol >= 1
     if not terms or tol >= 1:
         return -1, None
     tol2 = Fraction(tol) ** 2
-    levels: dict[int, list[tuple[Vector, int, int]]] = {}
-    bar = 0  # tol^2 max|c|^2, in the units of the left side below
-    for alpha, a, b in terms:
-        levels.setdefault(sum(alpha), []).append((alpha, a, b))
-        bar = max(bar, tol2.numerator * (a * a + b * b))
-    levels.pop(0, None)
-    probes = _probes(p)
-    for d in sorted(levels, reverse=True):
-        weight = math.factorial(d) ** 2 * tol2.denominator
-        for y in probes:
-            re, im = _exact_value(levels[d], y)
-            if weight * (re * re + im * im) > bar:  # d! |p_d(y)| > tol max|c|
-                return d, y
-    return 0, probes[0]
+    bar = tol2.numerator * max(a * a + b * b for _, a, b in terms)  # tol^2 max|c|^2
+    weight = cache(lambda d: math.factorial(d) ** 2 * tol2.denominator)  # d!^2, in bar's units
+    best, witness = 0, None
+    for x, y in default_probes(p) if pairs is None else pairs:
+        q = sorted(_restriction(terms, x, y).items(), reverse=True)
+        deg = next((d for d, (re, im) in q if weight(d) * (re * re + im * im) > bar), 0)
+        if witness is None or deg > best:
+            best, witness = deg, y
+            if best == p.total_degree():
+                break
+    return best, witness
 
 
 def degree_with_witness(
-    phi: Lattice, window: Optional[int] = None, tol: float = 1e-9
+    phi: Lattice, window: Optional[int] = None, tol: float = _TOL
 ) -> tuple[Optional[int], Optional[Vector]]:
     """Degree by the difference criterion plus a witness direction.
 
@@ -229,8 +239,9 @@ def degree_with_witness(
     d for which some probe y has d! |p_d(y)| > tol * max|c|, the cascade's
     zero test on D_y^d p = d! p_d(y) (tol = 0 tests p_d(y) != 0), with the
     first such probe as witness; 0 and the first probe when no d >= 1
-    passes.  The values are exact, at any degree.  A non-finite coefficient
-    is a ValueError.
+    passes: the restriction degree from the origin, where q_d = p_d(y).  The
+    values are exact, at any degree.  A non-finite coefficient is a
+    ValueError.
 
     A sampled grid runs the cascade D_y, D_y^2, ... along each probe
     direction y until it vanishes; with k_y the first vanishing order, the
@@ -242,7 +253,7 @@ def degree_with_witness(
     if not tol >= 0:
         raise ValueError("tolerance must be >= 0")
     if isinstance(phi, LatticePoly):
-        return _poly_degree_with_witness(phi, tol)
+        return _restriction_degree(phi, None, tol)
     zero = tol * (1.0 + float(np.max(np.abs(phi.values))))
     if phi.is_zero(zero):
         return -1, None
@@ -266,7 +277,7 @@ def degree_with_witness(
     return best_order - 1, witness
 
 
-def degree(phi: Lattice, window: Optional[int] = None, tol: float = 1e-9) -> Optional[int]:
+def degree(phi: Lattice, window: Optional[int] = None, tol: float = _TOL) -> Optional[int]:
     """Smallest n with all probed (n+1)-fold differences zero (see
     ``degree_with_witness``); None means "not polynomial on this window"."""
     n, _ = degree_with_witness(phi, window, tol)
@@ -277,9 +288,9 @@ def newton_expand(
     phi: LatticePoly, x: Sequence[int], y: Sequence[int], m: int
 ) -> tuple[complex, complex]:
     """Both sides of the binomial difference expansion at (x, y, m):
-    left phi(x + m y), right sum_j C(m, j) (D_y^j phi)(x), with
-    D_y^j phi(x) = sum_i (-1)^(j-i) C(j, i) phi(x + i y) taken from
-    evaluations.  The right side stops at j = min(m, total degree), as
+    left phi(x + m y), right sum_j C(m, j) (D_y^j phi)(x), with D_y^j phi(x)
+    the first entry of the j-th forward-difference row of the evaluations
+    phi(x + i y).  The right side stops at j = min(m, total degree), as
     D_y^j phi = 0 past the degree; the full sum to m holds for any function.
     Exact inputs give exactly equal outputs."""
     if m < 0:
@@ -288,50 +299,32 @@ def newton_expand(
     y = tuple(int(v) for v in y)
     lhs = phi.evaluate(tuple(a + m * b for a, b in zip(x, y)))
     top = min(m, phi.total_degree())
-    vals = [phi.evaluate(tuple(a + i * b for a, b in zip(x, y))) for i in range(top + 1)]
+    row = [phi.evaluate(tuple(a + i * b for a, b in zip(x, y))) for i in range(top + 1)]
     rhs = 0
     for j in range(top + 1):
-        diff = sum((-1) ** (j - i) * math.comb(j, i) * vals[i] for i in range(j + 1))
-        rhs = rhs + math.comb(m, j) * diff
+        rhs = rhs + math.comb(m, j) * row[0]
+        row = [b - a for a, b in zip(row, row[1:])]
     return lhs, rhs
 
 
 def domar_degree(
     phi: LatticePoly, probes: Sequence[tuple[Sequence[int], Sequence[int]]]
 ) -> int:
-    """Max over probe pairs (x, y) of the degree of t -> phi(x + t y).
-
-    Each restriction is sampled exactly on t = 0..bound+1 (coefficients at
-    their binary values) and differenced; an order counts while some
-    difference exceeds 1e-12 of the largest sample.  With probes containing
-    a witness direction this equals the difference-criterion degree.
-    """
-    if not probes:
-        raise ValueError("need at least one probe pair")
-    bound = max(phi.total_degree(), 0)
-    terms = _exact_terms(phi)
-    tol2 = Fraction(1e-12) ** 2
-    best = -1
-    for x, y in probes:
-        x = tuple(int(v) for v in x)
-        y = tuple(int(v) for v in y)
-        level = [
-            _exact_value(terms, tuple(a + t * b for a, b in zip(x, y)))
-            for t in range(bound + 2)
-        ]
-        bar = tol2.numerator * max(re * re + im * im for re, im in level)
-        # unit-step differences of the sample sequence: degree = last
-        # order with a difference above 1e-12 of the largest sample
-        deg_here = -1
-        for k in range(bound + 2):
-            if tol2.denominator * max(re * re + im * im for re, im in level) > bar:
-                deg_here = k
-            level = [(c - a, d - b) for (a, b), (c, d) in zip(level, level[1:])]
-        best = max(best, deg_here)
-    return best
+    """Max over probe pairs (x, y) of the degree of t -> phi(x + t y): the
+    largest d with d! |q_d| > tol * max|c| for its exact coefficients q_d, at
+    ``degree_with_witness``'s default tol.  With probes containing a witness
+    direction this equals the difference-criterion degree.  An x or y not of
+    phi's dimension is a ValueError."""
+    pairs = [(tuple(int(v) for v in x), tuple(int(v) for v in y)) for x, y in probes]
+    if not pairs or any(len(x) != phi.dim or len(y) != phi.dim for x, y in pairs):
+        raise ValueError(f"need at least one probe pair, each of dimension {phi.dim}")
+    return _restriction_degree(phi, pairs, _TOL)[0]
 
 
 def default_probes(phi: LatticePoly) -> list[tuple[Vector, Vector]]:
-    """Probe pairs from the origin along the certified witness directions."""
+    """Probe pairs from the origin along the probe directions, then the
+    witness grid for phi's total degree, without repeats."""
     origin = (0,) * phi.dim
-    return [(origin, y) for y in _probes(phi)]
+    seen: set[Vector] = set()
+    dirs = probe_directions(phi.dim) + witness_grid(phi.dim, max(phi.total_degree(), 0))
+    return [(origin, y) for y in dirs if not (y in seen or seen.add(y))]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from beurling.diff_calculus import (
     MAX_PROBES,
     GridSignal,
     LatticePoly,
+    _exact_terms,
     default_probes,
     degree,
     degree_with_witness,
@@ -85,6 +87,34 @@ def cascade_degree_with_witness(p, tol=1e-9):
         if k > best_order:
             best_order, witness = k, y
     return best_order - 1, witness
+
+
+def sampling_domar_degree(phi, probes):
+    """The restriction degree as domar_degree once took it: each restriction
+    t -> phi(x + t y) sampled exactly on t = 0..bound+1 and differenced; an
+    order counts while some difference exceeds 1e-12 of the largest sample."""
+    def exact_value(terms, point):
+        re = im = 0
+        for alpha, a, b in terms:
+            mono = math.prod(v ** e for v, e in zip(point, alpha))
+            re, im = re + a * mono, im + b * mono
+        return re, im
+
+    bound = max(phi.total_degree(), 0)
+    terms = _exact_terms(phi)
+    tol2 = Fraction(1e-12) ** 2
+    best = -1
+    for x, y in probes:
+        level = [exact_value(terms, tuple(a + t * b for a, b in zip(x, y)))
+                 for t in range(bound + 2)]
+        bar = tol2.numerator * max(re * re + im * im for re, im in level)
+        deg_here = -1
+        for k in range(bound + 2):
+            if tol2.denominator * max(re * re + im * im for re, im in level) > bar:
+                deg_here = k
+            level = [(c - a, d - b) for (a, b), (c, d) in zip(level, level[1:])]
+        best = max(best, deg_here)
+    return best
 
 
 def complex_variant(rng, negligible_top):
@@ -323,14 +353,39 @@ class TestDomarDegree:
 
     def test_float_coefficients_sample_exactly(self):
         # a float coefficient times an int power past the float range raised
-        # OverflowError at far probes; exact samples answer.  Along y <= 55
-        # the constant dominates every sample and the degree is 0, as the
-        # closed form says; further out the 1e-12 rule relative to the
-        # largest sample reads part of the x^150 term (see CHANGES.md)
+        # OverflowError at far probes; the exact expansion answers, and with
+        # the closed form's rule the constant dominates along every probe
         q = LatticePoly(1, {(150,): 1e-300, (0,): 1e300})
         assert degree_with_witness(q) == (0, (1,))
         assert domar_degree(q, [((0,), (y,)) for y in range(1, 56)]) == 0
-        assert domar_degree(q, default_probes(q)) >= 0
+        assert domar_degree(q, default_probes(q)) == 0
+
+    def test_probe_dimension_mismatch_is_refused(self):
+        p = LatticePoly(2, {(1, 1): 1})
+        with pytest.raises(ValueError, match="dimension"):
+            domar_degree(p, [((0,), (1,))])
+        with pytest.raises(ValueError, match="dimension"):
+            domar_degree(p, [((0, 0), (1, 1, 1))])
+
+    def test_planted_monomial_degrees(self):
+        # the old 1e-12-of-the-largest-sample rule read x^30 as 29 and x^150 as 51
+        for n in range(1, 201):
+            p = LatticePoly(1, {(n,): 1})
+            assert domar_degree(p, default_probes(p)) == n
+            q = LatticePoly(2, {(n, 0): 1, (0, 1): 3})
+            assert domar_degree(q, [((2, -1), y) for y in probe_directions(2)]) == n
+
+    def test_matches_sampling_on_off_origin_bases(self):
+        # each direction from a base point in [-3, 3]^dim; the two zero rules
+        # differ only near their thresholds, so the complex corpus has no
+        # negligible top term here
+        rng = np.random.default_rng(22)
+        for i in range(300):
+            p = (random_lattice_poly(rng, max_dim=3, max_degree=5) if i % 2
+                 else complex_variant(rng, negligible_top=False))
+            probes = [(tuple(int(v) for v in rng.integers(-3, 4, p.dim)), y)
+                      for _, y in default_probes(p)]
+            assert domar_degree(p, probes) == sampling_domar_degree(p, probes), p
 
 
 class TestDifferenceChain:
