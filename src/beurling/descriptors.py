@@ -9,6 +9,7 @@ dotted location path into the document.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .errors import DescriptorError
@@ -38,14 +39,17 @@ def _complex_pair(value: complex) -> list[float]:
 
 
 def _parse_complex(data: Any, where: str) -> complex:
-    if isinstance(data, (int, float)):
-        return complex(data)
-    if (
-        isinstance(data, (list, tuple))
-        and len(data) == 2
-        and all(isinstance(x, (int, float)) for x in data)
-    ):
-        return complex(data[0], data[1])
+    try:
+        if isinstance(data, (int, float)):
+            return complex(data)
+        if (
+            isinstance(data, (list, tuple))
+            and len(data) == 2
+            and all(isinstance(x, (int, float)) for x in data)
+        ):
+            return complex(data[0], data[1])
+    except OverflowError as exc:  # an integer past the float range
+        raise DescriptorError(str(exc), where) from exc
     raise DescriptorError("expected a number or [re, im] pair", where)
 
 
@@ -102,7 +106,7 @@ def weight_from_json(data: Any, where: str = "$") -> WeightSpec:
             )
     except DescriptorError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(str(exc), where) from exc
     raise DescriptorError(f"unknown weight kind {kind!r}", where)
 
@@ -171,7 +175,7 @@ def signal_from_json(data: Any, where: str = "$") -> Signal:
                                            f"{where}.inner"))
     except DescriptorError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(str(exc), where) from exc
     raise DescriptorError(f"unknown signal kind {kind!r}", where)
 
@@ -196,7 +200,7 @@ def finseq_from_json(data: Any, where: str = "$") -> FinSeq:
         n, re, im = row
         if not isinstance(n, int):
             raise DescriptorError("offset must be an integer", spot)
-        out[n] = complex(re, im)
+        out[n] = _parse_complex([re, im], spot)
     return FinSeq(out)
 
 
@@ -227,7 +231,7 @@ def latticepoly_from_json(data: Any, where: str = "$"):
         alpha, re, im = row
         if not isinstance(alpha, list):
             raise DescriptorError("multi-index must be a list", spot)
-        out[tuple(int(a) for a in alpha)] = complex(re, im)
+        out[tuple(int(a) for a in alpha)] = _parse_complex([re, im], spot)
     try:
         return LatticePoly(int(dim), out)
     except (TypeError, ValueError) as exc:
@@ -285,16 +289,20 @@ def spectrum_from_json(data: Any, where: str = "$") -> SpectrumResult:
     raise DescriptorError(f"unknown verdict {verdict!r}", where)
 
 
-def _refuse_constant(name: str):
-    raise DescriptorError(f"non-finite JSON constant {name}")
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DescriptorError(f"non-finite JSON number {text}")
+    return value
 
 
 def load_json_file(path: str) -> Any:
-    """Parse a descriptor file as strict JSON: NaN, Infinity and -Infinity
-    are refused."""
+    """Parse a descriptor file as strict JSON: the constants NaN, Infinity
+    and -Infinity are refused, as is a float literal past the float range
+    such as 1e400."""
     try:
         with open(path) as handle:
-            return json.load(handle, parse_constant=_refuse_constant)
+            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
     except FileNotFoundError:
         raise DescriptorError(f"file not found: {path}")
     except json.JSONDecodeError as exc:

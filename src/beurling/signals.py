@@ -13,8 +13,11 @@ Four arms cover everything the rest of the package needs in closed form:
                    negated reversed sum for n < 0).
 
 ``annihilate`` implements the correlation (f* . phi)(x) = sum_m
-conj(f(m)) phi(x+m): symbolically exact on ExpPoly/Geometric, pointwise on
-the valid sub-window for tables.
+conj(f(m)) phi(x+m): in closed form on ExpPoly/Geometric, pointwise on
+the valid sub-window for tables.  Translation phi(n + y) and the
+difference phi(n + y) - phi(n) are the same correlation, taken with
+delta_y and with delta_y - delta_0, so one kernel (``_correlate``) and
+one zero rule serve all three.
 
 Evaluation: ``eval_signal_range`` takes an ExpPoly's phases e^{i t n} from
 a block table, one exp per PHASE_BLOCK samples, at the accuracy of
@@ -26,6 +29,7 @@ chunk to chunk there, so a running sum to any radius needs O(CHUNK) memory.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -33,7 +37,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import WindowError
-from .seq_algebra import ANGULAR_TOL, CirclePoint, FinSeq
+from .seq_algebra import ANGULAR_TOL, PRUNE_REL, CirclePoint, FinSeq
 
 
 @dataclass(frozen=True)
@@ -89,16 +93,19 @@ class ExpPoly:
 
 @dataclass(frozen=True)
 class Geometric:
-    """phi(n) = scale * ratio^n for a real ratio > 0."""
+    """phi(n) = scale * ratio^n for a real ratio > 0 and a finite scale."""
 
     ratio: float
     scale: complex = 1.0
 
     def __post_init__(self):
-        if not self.ratio > 0:
-            raise ValueError("geometric ratio must be positive")
-        object.__setattr__(self, "ratio", float(self.ratio))
-        object.__setattr__(self, "scale", complex(self.scale))
+        ratio, scale = float(self.ratio), complex(self.scale)
+        if not 0 < ratio < math.inf:
+            raise ValueError("geometric ratio must be positive and finite")
+        if not cmath.isfinite(scale):
+            raise ValueError("geometric scale must be finite")
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
@@ -271,43 +278,63 @@ def signal_is_zero(s: Signal, tol: float = 0.0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# closed-form polynomial helpers (coefficient tuples in n)
-
-
-def _poly_shift(coeffs: Sequence[complex], y: int) -> list[complex]:
-    """Coefficients of p(n + y) given those of p(n)."""
-    out = [0j] * len(coeffs)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for l in range(j + 1):
-            out[l] += c * math.comb(j, l) * y ** (j - l)
-    return out
-
-
-def _poly_trim(coeffs: Sequence[complex], floor: float) -> tuple[complex, ...]:
-    out = [0j if abs(c) <= floor else complex(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # structural operations
+
+
+def _correlate(s: Signal, n: np.ndarray, g: np.ndarray) -> Signal:
+    """The closed form of x -> sum_m g(m) s(x + m) over offsets n, values g.
+
+    An ExpPoly term e^{itx} sum_j c_j x^j goes to e^{itx} sum_l q_l x^l with
+    q_l = sum_{j >= l} C(j, l) c_j S_{j-l}, from the moments
+    S_k = sum_m g(m) e^{itm} m^k, all terms at once; a Geometric r^x is
+    multiplied by sum_m g(m) r^m.  A coefficient is zero when its modulus
+    is at most PRUNE_REL times its a-priori bound, sum_m |g(m)| sum_j |c_j|
+    (1 + |m|)^j (sum_m |g(m)| r^m for a Geometric).
+    """
+    m = n.astype(float)
+    if isinstance(s, Geometric):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: Geometric refuses it
+            powers = np.power(s.ratio, m)
+            factor = _pruned(np.sum(g * powers), np.sum(np.abs(g) * powers))
+            return Geometric(s.ratio, s.scale * factor)
+    if not isinstance(s, ExpPoly):
+        raise TypeError(f"no closed form for {type(s).__name__}: need an ExpPoly or a Geometric")
+    c = _coeff_rows(s.terms)
+    k = np.arange(c.shape[1])[:, None]
+    phases = np.exp(1j * np.multiply.outer([term.freq.t for term in s.terms], m))
+    moments = (phases * g) @ (m ** k).T
+    binom, lag = _binomials(c.shape[1])
+    q = np.einsum("tj,jl,tjl->tl", c, binom, moments[:, lag])
+    bound = np.abs(c) @ ((1 + np.abs(m)) ** k @ np.abs(g))
+    return ExpPoly(zip(s.frequencies(), _pruned(q, bound[:, None]).tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(j, l) and max(j - l, 0) for j, l < width, read-only; cached, as they
+    depend on the width alone and small signals would rebuild them per call."""
+    binom = np.array([[math.comb(j, l) for l in range(width)] for j in range(width)], dtype=float)
+    lag = np.maximum(np.subtract.outer(np.arange(width), np.arange(width)), 0)
+    binom.flags.writeable = lag.flags.writeable = False
+    return binom, lag
+
+
+def _coeff_rows(terms: Sequence[ExpPolyTerm]) -> np.ndarray:
+    """The terms' coefficients as the rows of one zero-padded array."""
+    rows = np.zeros((len(terms), max((t.degree() for t in terms), default=0) + 1), dtype=complex)
+    for row, term in zip(rows, terms):
+        row[:len(term.coeffs)] = term.coeffs
+    return rows
+
+
+def _pruned(q: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """q with zeros where |q| is at most PRUNE_REL times a finite bound."""
+    return np.where((np.abs(q) <= PRUNE_REL * bound) & np.isfinite(bound), 0, q)
 
 
 def translate_signal(s: Signal, y: int) -> Signal:
     """phi_y(n) = phi(n + y), in the same symbolic class."""
-    if isinstance(s, ExpPoly):
-        terms = []
-        for term in s.terms:
-            phase = cmath.exp(1j * term.freq.t * y)
-            shifted = [phase * c for c in _poly_shift(term.coeffs, y)]
-            terms.append(ExpPolyTerm(term.freq, tuple(shifted)))
-        return ExpPoly(terms)
-    if isinstance(s, Geometric):
-        return Geometric(s.ratio, s.scale * s.ratio ** y)
-    raise TypeError("translate is closed-form only for ExpPoly and Geometric")
+    return _correlate(s, np.array([y]), np.ones(1))
 
 
 def scale_signal(s: Signal, k: complex) -> Signal:
@@ -332,52 +359,33 @@ def modulate_signal(s: ExpPoly, gamma: CirclePoint) -> ExpPoly:
 
 
 def add_signals(a: Signal, b: Signal) -> Signal:
-    """Sum of two signals of compatible symbolic arms."""
+    """Sum of two signals of compatible symbolic arms; a summed ExpPoly
+    coefficient of at most PRUNE_REL * sum_j (|a_j| + |b_j|) is zero."""
     if isinstance(a, ExpPoly) and isinstance(b, ExpPoly):
-        merged: list[tuple[CirclePoint, list[complex]]] = [
-            (t.freq, list(t.coeffs)) for t in a.terms
-        ]
+        freqs, slots = list(a.frequencies()), list(range(len(a.terms)))
         for term in b.terms:
-            for freq, coeffs in merged:
-                if freq.close_to(term.freq):
-                    for j, c in enumerate(term.coeffs):
-                        if j < len(coeffs):
-                            coeffs[j] += c
-                        else:
-                            coeffs.append(c)
-                    break
-            else:
-                merged.append((term.freq, list(term.coeffs)))
-        scale = max(
-            (abs(c) for _, coeffs in merged for c in coeffs), default=0.0
-        )
-        terms = [
-            ExpPolyTerm(freq, trimmed)
-            for freq, coeffs in merged
-            if (trimmed := _poly_trim(coeffs, 1e-12 * scale))
-        ]
-        return ExpPoly(terms)
+            slot = next((i for i, f in enumerate(freqs) if f.close_to(term.freq)), len(freqs))
+            if slot == len(freqs):
+                freqs.append(term.freq)
+            slots.append(slot)
+        rows = _coeff_rows(a.terms + b.terms)
+        total = np.zeros((len(freqs), rows.shape[1]), dtype=complex)
+        bound = np.zeros(len(freqs))
+        np.add.at(total, slots, rows)
+        np.add.at(bound, slots, np.abs(rows).sum(axis=1))
+        return ExpPoly(zip(freqs, _pruned(total, bound[:, None]).tolist()))
     if isinstance(a, Geometric) and isinstance(b, Geometric) and a.ratio == b.ratio:
         return Geometric(a.ratio, a.scale + b.scale)
     raise TypeError("sum not representable within one symbolic arm")
 
 
 def difference_signal(s: Signal, y: int) -> Signal:
-    """Closed-form difference phi(n+y) - phi(n) in the same class."""
-    if isinstance(s, ExpPoly):
-        terms = []
-        for term in s.terms:
-            phase = cmath.exp(1j * term.freq.t * y)
-            shifted = _poly_shift(term.coeffs, y)
-            diff = [phase * sc - c for sc, c in zip(shifted, term.coeffs)]
-            scale = max((abs(c) for c in term.coeffs), default=0.0)
-            trimmed = _poly_trim(diff, 1e-12 * max(scale, 1.0) * (1 + abs(y)) ** term.degree())
-            if trimmed:
-                terms.append(ExpPolyTerm(term.freq, trimmed))
-        return ExpPoly(terms)
-    if isinstance(s, Geometric):
-        return Geometric(s.ratio, s.scale * (s.ratio ** y - 1.0))
-    raise TypeError("difference is closed-form only for ExpPoly and Geometric")
+    """Closed-form difference phi(n+y) - phi(n) in the same class: the
+    correlation with delta_y - delta_0."""
+    # offsets sorted as in the FinSeq delta(y) - delta(0), so that its
+    # annihilation sums in the same order and agrees term for term
+    n, g = ([0, y], [-1.0, 1.0]) if y > 0 else ([y, 0], [1.0, -1.0])
+    return _correlate(s, np.array(n), np.array(g))
 
 
 def sample_signal(s: Signal, lo: int, hi: int) -> TableSignal:
@@ -412,52 +420,28 @@ def annihilate(f: FinSeq, s: Signal, tol: float = 1e-8) -> AnnihilationResult:
 
         (f* . phi)(x) = sum_m conj(f(m)) phi(x + m).
 
-    ExpPoly and Geometric are handled in closed form and the zero verdict is
-    symbolic; tables are evaluated on the sub-window where every shift is in
-    range, with verdict sup < tol * |f|_1 * max|phi|.
+    ExpPoly and Geometric are handled in closed form (``_correlate``) and
+    the zero verdict is symbolic; tables are correlated on the sub-window
+    where every shift is in range, with verdict
+    sup <= tol * |f|_1 * max|phi|.  ``tol`` decides tables only, and a
+    table whose samples or correlation are not finite is a ValueError.
     """
     if not f:
         raise ValueError("annihilator must be a non-zero sequence")
-    pairs = list(f)  # sorted (offset, value)
-    if isinstance(s, ExpPoly):
-        terms = []
-        residual = 0.0
-        for term in s.terms:
-            q = [0j] * len(term.coeffs)
-            for m, fv in pairs:
-                factor = fv.conjugate() * cmath.exp(1j * term.freq.t * m)
-                for l, c in enumerate(_poly_shift(term.coeffs, m)):
-                    q[l] += factor * c
-            scale = sum(
-                abs(fv) * sum(abs(c) * (1.0 + abs(m)) ** j for j, c in enumerate(term.coeffs))
-                for m, fv in pairs
-            )
-            trimmed = _poly_trim(q, 1e-10 * scale)
-            if trimmed:
-                terms.append(ExpPolyTerm(term.freq, trimmed))
-            residual = max(residual, max((abs(c) for c in trimmed), default=0.0))
-        out = ExpPoly(terms)
-        return AnnihilationResult(out, not out.terms, residual if out.terms else 0.0)
-    if isinstance(s, Geometric):
-        factor = sum(fv.conjugate() * s.ratio ** m for m, fv in pairs)
-        # zero verdict is scale-aware: the factor is a sum of |f| * r^m terms
-        scale = sum(abs(fv) * s.ratio ** m for m, fv in pairs)
-        if abs(factor) <= 1e-12 * scale:
-            factor = 0.0
-        out = Geometric(s.ratio, s.scale * factor)
-        return AnnihilationResult(out, out.scale == 0, abs(out.scale))
     if isinstance(s, TableSignal):
         m_lo, m_hi = f.support()
-        lo, hi = s.start - m_lo, s.end - m_hi
-        if hi < lo:
+        if s.end - s.start < m_hi - m_lo:
             raise WindowError(
                 "table window too small to slide the annihilator support"
             )
-        xs = np.arange(lo, hi + 1)
-        out = np.zeros(len(xs), dtype=complex)
-        for m, fv in pairs:
-            out += fv.conjugate() * eval_signal_range(s, lo + m, hi + m)
-        sup = float(np.max(np.abs(out))) if len(out) else 0.0
-        bound = tol * f.abs_sum() * max(abs(v) for v in s.values)
-        return AnnihilationResult(TableSignal(lo, out), sup <= bound, sup)
-    raise TypeError("annihilation needs an ExpPoly, Geometric or TableSignal")
+        values = np.asarray(s.values, dtype=complex)
+        out = np.correlate(values, f._dense()[1], "valid")  # conjugates f
+        sup, peak = float(np.max(np.abs(out))), float(np.max(np.abs(values)))
+        if not math.isfinite(sup + peak):
+            raise ValueError("table annihilation needs finite samples and correlation")
+        return AnnihilationResult(TableSignal(s.start - m_lo, out),
+                                  sup <= tol * f.abs_sum() * peak, sup)
+    out = _correlate(s, f._n, np.conj(f._v))
+    residual = (abs(out.scale) if isinstance(out, Geometric)
+                else max((abs(c) for term in out.terms for c in term.coeffs), default=0.0))
+    return AnnihilationResult(out, signal_is_zero(out), residual)

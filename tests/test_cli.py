@@ -346,10 +346,25 @@ class TestErrorPaths:
         (["degree", "--poly"], {"dim": 1, "coeffs": [[[2], float("nan"), 0], [[1], 1, 0]]}),
         (["degree", "--poly"], {"dim": 1, "coeffs": [[[2], float("inf"), 0], [[1], 1, 0]]}),
         (["seq", "ft", "--seq"], {"entries": [[0, 1, 0], [3, float("nan"), 0]]}),
+    ] + [
+        # raw text: numbers past the float range in a value position
+        pytest.param(argv, template % number, id=f"{kind}-{label}")
+        for label, number in [("1e400", "1e400"), ("-1e400", "-1e400"),
+                              ("400-digit", "1" + "0" * 399)]
+        for kind, argv, template in [
+            ("seq", ["seq", "ft", "--seq"], '{"entries": [[0, 1, 0], [3, %s, 0]]}'),
+            ("weight", ["weight", "check", "--weight"], '{"kind": "power", "a": %s}'),
+            ("geometric", ["spectrum", "--signal"], '{"kind": "geometric", "ratio": %s}'),
+            ("table", ["spectrum", "--signal"],
+             '{"kind": "table", "start": 0, "values": [1, %s, 3]}'),
+            ("poly", ["degree", "--poly"], '{"dim": 1, "coeffs": [[[2], %s, 0], [[1], 1, 0]]}'),
+        ]
     ])
     def test_non_finite_json_constant_is_input_error(self, tmp_path, capsys, argv, payload):
-        # json.dumps writes these as NaN and Infinity, which strict JSON refuses
-        code, out = run(capsys, *argv, write(tmp_path, "in.json", payload))
+        # json.dumps writes nan and inf as NaN and Infinity, which strict JSON refuses
+        path = tmp_path / "in.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        code, out = run(capsys, *argv, str(path))
         assert (code, out) == (1, "")
 
     def test_window_error_is_input_error(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beurling.errors import WindowError
-from beurling.seq_algebra import CirclePoint, FinSeq, convolve, delta, fourier_eval
+from beurling.seq_algebra import PRUNE_REL, CirclePoint, FinSeq, convolve, delta, fourier_eval
 from beurling.signals import (
     CHUNK,
     PHASE_BLOCK,
@@ -45,8 +48,10 @@ class TestConstruction:
             ExpPoly([(0.5, (1,)), (0.5 + 1e-12, (2,))])
 
     def test_geometric_needs_positive_ratio(self):
-        with pytest.raises(ValueError):
-            Geometric(-1.0)
+        for ratio, scale in [(-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                             (2.0, complex(math.inf, 0)), (2.0, complex(0, math.nan))]:
+            with pytest.raises(ValueError):
+                Geometric(ratio, scale)
 
     def test_table_needs_samples(self):
         with pytest.raises(ValueError):
@@ -326,3 +331,172 @@ class TestStructuralOps:
         table = sample_signal(s, -5, 5)
         assert table.start == -5 and len(table.values) == 11
         assert table.values[5] == pytest.approx(eval_signal(s, 0))
+
+
+# ---------------------------------------------------------------------------
+# the correlation kernel against the per-entry closed forms it replaced
+
+EPS = np.finfo(float).eps
+
+
+def poly_shift(coeffs, y):
+    """Reference: coefficients of p(n + y) given those of p(n), exact binomials."""
+    out = [0j] * len(coeffs)
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        for l in range(j + 1):
+            out[l] += c * math.comb(j, l) * y ** (j - l)
+    return out
+
+
+def reference_correlation(pairs, s):
+    """Reference: per term, sum_m g(m) e^{itm} p(n + m) one offset at a time,
+    unpruned, with each term's a-priori bound sum_m |g(m)| sum_j |c_j| (1 + |m|)^j."""
+    rows, bounds = [], []
+    for term in s.terms:
+        q = [0j] * len(term.coeffs)
+        for m, gv in pairs:
+            factor = gv * cmath.exp(1j * term.freq.t * m)
+            for l, c in enumerate(poly_shift(term.coeffs, m)):
+                q[l] += factor * c
+        rows.append(q)
+        bounds.append(sum(abs(gv) * sum(abs(c) * (1.0 + abs(m)) ** j
+                                        for j, c in enumerate(term.coeffs))
+                          for m, gv in pairs))
+    return rows, bounds
+
+
+def reference_table(f, s):
+    """Reference: the per-entry loop over the valid sub-window."""
+    m_lo, m_hi = f.support()
+    lo, hi = s.start - m_lo, s.end - m_hi
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    for m, fv in f:
+        out += fv.conjugate() * eval_signal_range(s, lo + m, hi + m)
+    return lo, out
+
+
+def assert_matches_reference(out, s, pairs):
+    """Each coefficient within PRUNE_REL of its term's bound, plus rounding
+    of the M-entry sums, of the reference; a dropped term is all below it."""
+    rows, bounds = reference_correlation(pairs, s)
+    got = {term.freq: term.coeffs for term in out.terms}
+    slack = PRUNE_REL + 8 * (len(pairs) + 4) * EPS  # degree <= 3
+    for term, row, bound in zip(s.terms, rows, bounds):
+        coeffs = got.get(term.freq, ())
+        assert len(coeffs) <= len(row)
+        for l, want in enumerate(row):
+            have = coeffs[l] if l < len(coeffs) else 0
+            assert abs(have - want) <= slack * bound, (l, have, want, bound)
+
+
+@st.composite
+def exppolys(draw):
+    """1-3 terms of degree 0-3 at distinct frequencies, each with its own
+    coefficient scale 1e-13 .. 1e3."""
+    ks = draw(st.lists(st.integers(0, 16), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    terms = []
+    for k in ks:
+        degree, scale = draw(st.integers(0, 3)), 10.0 ** draw(st.integers(-13, 3))
+        coeffs = scale * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+        terms.append((2 * math.pi * k / 17, coeffs))
+    return ExpPoly(terms)
+
+
+@st.composite
+def annihilators(draw):
+    """Up to 10^3 complex entries: dense on a run of offsets, or sparse and
+    wide (one offset in 20)."""
+    size, wide = draw(st.integers(1, 1000)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offsets = np.sort(rng.choice(20 * size, size, replace=False)) if wide else np.arange(size)
+    offsets += draw(st.integers(-100, 100))
+    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return FinSeq(zip(offsets.tolist(), values.tolist()))
+
+
+class TestCorrelationKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(s=exppolys(), f=annihilators())
+    def test_annihilate_matches_the_per_entry_closed_form(self, s, f):
+        res = annihilate(f, s)
+        assert_matches_reference(res.signal, s, [(m, v.conjugate()) for m, v in f])
+        assert res.is_zero == (not res.signal.terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=exppolys(), y=st.integers(-50, 50))
+    def test_translate_and_difference_match_the_closed_form(self, s, y):
+        assert_matches_reference(translate_signal(s, y), s, [(y, 1)])
+        assert_matches_reference(difference_signal(s, y), s, [(y, 1), (0, -1)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=exppolys(), f=annihilators())
+    def test_pointwise_against_the_defining_sum(self, s, f):
+        out = annihilate(f, s).signal
+        (m_lo, m_hi), (_, dense) = f.support(), f._dense()
+        reach = max(abs(m_lo), abs(m_hi))
+        for n in (-3, 0, 5):
+            want = np.sum(np.conj(dense) * eval_signal_range(s, n + m_lo, n + m_hi))
+            # pruning moves each coefficient by PRUNE_REL of its term's bound;
+            # phases of t(n + m) round by eps |t (n + m)| on either side
+            _, bounds = reference_correlation([(m, abs(v)) for m, v in f], s)
+            scale = sum(bounds) * (1 + abs(n)) ** 3
+            slack = PRUNE_REL + 8 * (len(f) + 4) * (1 + 7 * (abs(n) + reach)) * EPS
+            assert abs(eval_signal(out, n) - want) <= slack * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=annihilators(), extra=st.integers(0, 200), start=st.integers(-300, 300),
+           power=st.integers(-13, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_complex_table_matches_the_per_entry_loop(self, f, extra, start, power, seed):
+        m_lo, m_hi = f.support()
+        rng = np.random.default_rng(seed)
+        length = m_hi - m_lo + 1 + extra
+        table = TableSignal(start, 10.0 ** power * (rng.standard_normal(length)
+                                                    + 1j * rng.standard_normal(length)))
+        res = annihilate(f, table)
+        lo, want = reference_table(f, table)
+        got = np.asarray(res.signal.values)
+        peak = max(abs(v) for v in table.values)
+        assert res.signal.start == lo and len(got) == len(want)
+        assert np.max(np.abs(got - want)) <= 4 * len(f) * EPS * f.abs_sum() * peak
+        assert res.residual == float(np.max(np.abs(got)))
+        assert res.is_zero == (res.residual <= 1e-8 * f.abs_sum() * peak)
+
+    def test_geometric_factor(self):
+        f = FinSeq({-2: 1 + 1j, 0: 3, 5: -0.25j})
+        res = annihilate(f, Geometric(1.5, 2 - 1j))
+        want = (2 - 1j) * sum(v.conjugate() * 1.5 ** m for m, v in f)
+        assert res.signal.scale == pytest.approx(want, rel=1e-14) and not res.is_zero
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=exppolys(), y=st.integers(-50, 50).filter(bool))
+    def test_difference_is_annihilation_by_a_step(self, s, y):
+        assert difference_signal(s, y) == annihilate(delta(y) - delta(0), s).signal
+
+    @pytest.mark.parametrize("s", [ExpPoly([(1.0, (1e-13,))]), Geometric(2, 1e-13),
+                                   ExpPoly([(0.0, (1e-13, 2)), (2.5, (0, 1e-14j))])])
+    def test_difference_and_annihilation_share_one_zero_rule(self, s):
+        assert difference_signal(s, 1) == annihilate(FinSeq({1: 1, 0: -1}), s).signal
+        assert not signal_is_zero(difference_signal(s, 1))
+
+    @pytest.mark.parametrize("margin, pruned", [(0.98, True), (1.02, False)])
+    def test_zero_rule_is_prune_rel_of_the_a_priori_bound(self, margin, pruned):
+        # at offset 10, e^{i0x}(c0 + x) has constant coefficient c0 + 10 and
+        # bound |c0| + 11 = 21; a sum's bound is sum_j (|a_j| + |b_j|) = 2
+        tiny = margin * PRUNE_REL * 21
+        s = ExpPoly([(0.0, (-10 + tiny, 1))])
+        for out in (translate_signal(s, 10), annihilate(delta(10), s).signal):
+            assert (out.terms[0].coeffs[0] == 0) == pruned
+        total = add_signals(constant_signal(1), constant_signal(-1 + margin * PRUNE_REL * 2))
+        assert signal_is_zero(total) == pruned
+
+    def test_non_finite_table_is_refused(self):
+        f = FinSeq({0: 1, 3: -1})
+        for bad in (math.inf, math.nan, complex(1, -math.inf)):
+            table = TableSignal(0, [1, 2, bad, 4, 5, 6, 7, 8])
+            with pytest.raises(ValueError):
+                annihilate(f, table)
+        with pytest.raises(ValueError):  # finite samples, overflowing correlation
+            annihilate(FinSeq({0: 1e300, 1: 1e300}), TableSignal(0, [1e300, 1e300]))
