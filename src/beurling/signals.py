@@ -67,17 +67,17 @@ class ExpPoly:
     def __init__(self, terms=()):
         cleaned = []
         for term in terms:
-            if not isinstance(term, ExpPolyTerm):
+            if isinstance(term, ExpPolyTerm):
+                freq, coeffs = term.freq, list(term.coeffs)
+            else:
                 freq, coeffs = term
                 if not isinstance(freq, CirclePoint):
                     freq = CirclePoint(float(freq))
-                term = ExpPolyTerm(freq, tuple(complex(c) for c in coeffs))
-            coeffs = list(term.coeffs)
+                coeffs = [complex(c) for c in coeffs]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
-            if not coeffs:
-                continue
-            cleaned.append(ExpPolyTerm(term.freq, tuple(coeffs)))
+            if coeffs:
+                cleaned.append(ExpPolyTerm(freq, tuple(coeffs)))
         for i, a in enumerate(cleaned):
             for b in cleaned[i + 1:]:
                 if a.freq.close_to(b.freq):
@@ -288,8 +288,11 @@ def _correlate(s: Signal, n: np.ndarray, g: np.ndarray) -> Signal:
     q_l = sum_{j >= l} C(j, l) c_j S_{j-l}, from the moments
     S_k = sum_m g(m) e^{itm} m^k, all terms at once; a Geometric r^x is
     multiplied by sum_m g(m) r^m.  A coefficient is zero when its modulus
-    is at most PRUNE_REL times its a-priori bound, sum_m |g(m)| sum_j |c_j|
-    (1 + |m|)^j (sum_m |g(m)| r^m for a Geometric).
+    is at most PRUNE_REL times its own a-priori bound, sum_{j >= l} C(j, l)
+    |c_j| sum_m |g(m)| |m|^{j-l} (sum_m |g(m)| r^m for a Geometric).  The
+    phases are taken as e^{itm_0} e^{it(m - m_0)} from the first offset m_0,
+    so their rounding grows with the support's width, not its distance
+    from 0.
     """
     m = n.astype(float)
     if isinstance(s, Geometric):
@@ -300,13 +303,13 @@ def _correlate(s: Signal, n: np.ndarray, g: np.ndarray) -> Signal:
     if not isinstance(s, ExpPoly):
         raise TypeError(f"no closed form for {type(s).__name__}: need an ExpPoly or a Geometric")
     c = _coeff_rows(s.terms)
-    k = np.arange(c.shape[1])[:, None]
-    phases = np.exp(1j * np.multiply.outer([term.freq.t for term in s.terms], m))
-    moments = (phases * g) @ (m ** k).T
     binom, lag = _binomials(c.shape[1])
-    q = np.einsum("tj,jl,tjl->tl", c, binom, moments[:, lag])
-    bound = np.abs(c) @ ((1 + np.abs(m)) ** k @ np.abs(g))
-    return ExpPoly(zip(s.frequencies(), _pruned(q, bound[:, None]).tolist()))
+    t = np.array([term.freq.t for term in s.terms])
+    powers = m ** np.arange(c.shape[1])[:, None]
+    moments = (np.exp(1j * np.multiply.outer(t, m - m[0])) * g) @ powers.T
+    q = np.einsum("tj,jl,tjl->tl", c, binom, moments[:, lag]) * np.exp(1j * t * m[0])[:, None]
+    bound = np.abs(c) @ (binom * (np.abs(powers) @ np.abs(g))[lag])
+    return ExpPoly(zip(s.frequencies(), _pruned(q, bound).tolist()))
 
 
 @functools.lru_cache(maxsize=None)

@@ -352,7 +352,8 @@ def poly_shift(coeffs, y):
 
 def reference_correlation(pairs, s):
     """Reference: per term, sum_m g(m) e^{itm} p(n + m) one offset at a time,
-    unpruned, with each term's a-priori bound sum_m |g(m)| sum_j |c_j| (1 + |m|)^j."""
+    unpruned, with each coefficient's a-priori bound
+    sum_{j >= l} C(j, l) |c_j| sum_m |g(m)| |m|^{j-l}."""
     rows, bounds = [], []
     for term in s.terms:
         q = [0j] * len(term.coeffs)
@@ -361,9 +362,10 @@ def reference_correlation(pairs, s):
             for l, c in enumerate(poly_shift(term.coeffs, m)):
                 q[l] += factor * c
         rows.append(q)
-        bounds.append(sum(abs(gv) * sum(abs(c) * (1.0 + abs(m)) ** j
-                                        for j, c in enumerate(term.coeffs))
-                          for m, gv in pairs))
+        bounds.append([sum(abs(gv) * sum(math.comb(j, l) * abs(c) * float(abs(m)) ** (j - l)
+                                         for j, c in enumerate(term.coeffs) if j >= l)
+                           for m, gv in pairs)
+                       for l in range(len(term.coeffs))])
     return rows, bounds
 
 
@@ -378,28 +380,31 @@ def reference_table(f, s):
 
 
 def assert_matches_reference(out, s, pairs):
-    """Each coefficient within PRUNE_REL of its term's bound, plus rounding
-    of the M-entry sums, of the reference; a dropped term is all below it."""
+    """Each coefficient within PRUNE_REL of its own bound of the reference,
+    plus rounding: of the M-entry sums, and of the phases, whose angles
+    t m (reference) and t m_0, t (m - m_0) (kernel) each round by up to
+    eps/2 of |t| < 6 times at most twice the reach max|m|."""
     rows, bounds = reference_correlation(pairs, s)
     got = {term.freq: term.coeffs for term in out.terms}
-    slack = PRUNE_REL + 8 * (len(pairs) + 4) * EPS  # degree <= 3
+    reach = max(abs(m) for m, _ in pairs)
+    slack = PRUNE_REL + (8 * (len(pairs) + 8) + 12 * reach) * EPS
     for term, row, bound in zip(s.terms, rows, bounds):
         coeffs = got.get(term.freq, ())
         assert len(coeffs) <= len(row)
         for l, want in enumerate(row):
             have = coeffs[l] if l < len(coeffs) else 0
-            assert abs(have - want) <= slack * bound, (l, have, want, bound)
+            assert abs(have - want) <= slack * bound[l], (l, have, want, bound[l])
 
 
 @st.composite
-def exppolys(draw):
-    """1-3 terms of degree 0-3 at distinct frequencies, each with its own
-    coefficient scale 1e-13 .. 1e3."""
+def exppolys(draw, max_degree=3):
+    """1-3 terms of degree 0..max_degree at distinct frequencies, each with
+    its own coefficient scale 1e-13 .. 1e3."""
     ks = draw(st.lists(st.integers(0, 16), min_size=1, max_size=3, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     terms = []
     for k in ks:
-        degree, scale = draw(st.integers(0, 3)), 10.0 ** draw(st.integers(-13, 3))
+        degree, scale = draw(st.integers(0, max_degree)), 10.0 ** draw(st.integers(-13, 3))
         coeffs = scale * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
         terms.append((2 * math.pi * k / 17, coeffs))
     return ExpPoly(terms)
@@ -426,7 +431,7 @@ class TestCorrelationKernel:
         assert res.is_zero == (not res.signal.terms)
 
     @settings(max_examples=60, deadline=None)
-    @given(s=exppolys(), y=st.integers(-50, 50))
+    @given(s=exppolys(max_degree=6), y=st.integers(-10 ** 4, 10 ** 4))
     def test_translate_and_difference_match_the_closed_form(self, s, y):
         assert_matches_reference(translate_signal(s, y), s, [(y, 1)])
         assert_matches_reference(difference_signal(s, y), s, [(y, 1), (0, -1)])
@@ -439,10 +444,10 @@ class TestCorrelationKernel:
         reach = max(abs(m_lo), abs(m_hi))
         for n in (-3, 0, 5):
             want = np.sum(np.conj(dense) * eval_signal_range(s, n + m_lo, n + m_hi))
-            # pruning moves each coefficient by PRUNE_REL of its term's bound;
+            # pruning moves each coefficient by PRUNE_REL of its own bound;
             # phases of t(n + m) round by eps |t (n + m)| on either side
             _, bounds = reference_correlation([(m, abs(v)) for m, v in f], s)
-            scale = sum(bounds) * (1 + abs(n)) ** 3
+            scale = sum(b * abs(n) ** l for row in bounds for l, b in enumerate(row))
             slack = PRUNE_REL + 8 * (len(f) + 4) * (1 + 7 * (abs(n) + reach)) * EPS
             assert abs(eval_signal(out, n) - want) <= slack * scale
 
@@ -484,13 +489,33 @@ class TestCorrelationKernel:
     @pytest.mark.parametrize("margin, pruned", [(0.98, True), (1.02, False)])
     def test_zero_rule_is_prune_rel_of_the_a_priori_bound(self, margin, pruned):
         # at offset 10, e^{i0x}(c0 + x) has constant coefficient c0 + 10 and
-        # bound |c0| + 11 = 21; a sum's bound is sum_j (|a_j| + |b_j|) = 2
-        tiny = margin * PRUNE_REL * 21
+        # bound |c0| + 10 = 20 - tiny; a sum's bound is sum_j (|a_j| + |b_j|) = 2
+        tiny = margin * PRUNE_REL * 20
         s = ExpPoly([(0.0, (-10 + tiny, 1))])
         for out in (translate_signal(s, 10), annihilate(delta(10), s).signal):
             assert (out.terms[0].coeffs[0] == 0) == pruned
         total = add_signals(constant_signal(1), constant_signal(-1 + margin * PRUNE_REL * 2))
         assert signal_is_zero(total) == pruned
+
+    @pytest.mark.parametrize("coeffs, y", [((0,) * 6 + (1,), 100), ((1, 0, 0, 1), 10 ** 4),
+                                           ((0,) * 6 + (1,), -10 ** 4)])
+    def test_translate_keeps_the_leading_term(self, coeffs, y):
+        # each coefficient has its own bound: the leading one is |c_deg|, not
+        # the whole term's sum_j |c_j| (1 + |y|)^j, which is larger by |y|^deg
+        out = translate_signal(ExpPoly([(0.0, coeffs)]), y)
+        assert out.terms[0].degree() == len(coeffs) - 1
+        for n in (-3, 0, 10):
+            want = sum(c * (n + y) ** j for j, c in enumerate(coeffs))
+            assert eval_signal(out, n) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("k", range(17))
+    def test_annihilator_far_from_zero_still_annihilates(self, k):
+        # phases taken from the first offset: only the support's width enters
+        t = 2 * math.pi * k / 17
+        f = convolve(delta(10 ** 4), FinSeq({0: 1, 1: -cmath.exp(1j * t)}))
+        assert annihilate(f, ExpPoly([(t, (1,))])).is_zero
+        f2 = convolve(f, FinSeq({0: 1, 1: -cmath.exp(1j * t)}))
+        assert annihilate(f2, ExpPoly([(t, (2, -1j))])).is_zero
 
     def test_non_finite_table_is_refused(self):
         f = FinSeq({0: 1, 3: -1})
