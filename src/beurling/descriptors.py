@@ -38,18 +38,26 @@ def _complex_pair(value: complex) -> list[float]:
     return [value.real, value.imag]
 
 
-def _parse_complex(data: Any, where: str) -> complex:
+def _is_number(data: Any) -> bool:
+    """A JSON number: not a string, and not a boolean, which Python counts
+    as an int."""
+    return isinstance(data, (int, float)) and not isinstance(data, bool)
+
+
+def _number(data: Any, where: str) -> float:
+    if not _is_number(data):
+        raise DescriptorError(f"expected a JSON number, got {type(data).__name__}", where)
     try:
-        if isinstance(data, (int, float)):
-            return complex(data)
-        if (
-            isinstance(data, (list, tuple))
-            and len(data) == 2
-            and all(isinstance(x, (int, float)) for x in data)
-        ):
-            return complex(data[0], data[1])
+        return float(data)
     except OverflowError as exc:  # an integer past the float range
         raise DescriptorError(str(exc), where) from exc
+
+
+def _parse_complex(data: Any, where: str) -> complex:
+    if _is_number(data):
+        return complex(_number(data, where))
+    if isinstance(data, (list, tuple)) and len(data) == 2 and all(map(_is_number, data)):
+        return complex(_number(data[0], where), _number(data[1], where))
     raise DescriptorError("expected a number or [re, im] pair", where)
 
 
@@ -85,15 +93,15 @@ def weight_from_json(data: Any, where: str = "$") -> WeightSpec:
     kind = _require(data, "kind", where)
     try:
         if kind == "power":
-            return PowerWeight(float(_require(data, "a", where)))
+            return PowerWeight(_number(_require(data, "a", where), f"{where}.a"))
         if kind == "exponential":
-            return ExponentialWeight(float(_require(data, "base", where)))
+            return ExponentialWeight(_number(_require(data, "base", where), f"{where}.base"))
         if kind == "table":
             values = _require(data, "values", where)
             if not isinstance(values, list):
                 raise DescriptorError("values must be a list", f"{where}.values")
             return TableWeight(int(_require(data, "halfWindow", where)),
-                               [float(v) for v in values])
+                               [_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)])
         if kind == "product":
             return ProductWeight(
                 weight_from_json(_require(data, "left", where), f"{where}.left"),
@@ -147,7 +155,7 @@ def signal_from_json(data: Any, where: str = "$") -> Signal:
             parsed = []
             for i, term in enumerate(terms):
                 spot = f"{where}.terms[{i}]"
-                t = float(_require(term, "t", spot))
+                t = _number(_require(term, "t", spot), f"{spot}.t")
                 coeffs = _require(term, "coeffs", spot)
                 if not isinstance(coeffs, list) or not coeffs:
                     raise DescriptorError("coeffs must be a non-empty list",
@@ -160,7 +168,7 @@ def signal_from_json(data: Any, where: str = "$") -> Signal:
             return ExpPoly(parsed)
         if kind == "geometric":
             scale = data.get("scale", 1.0)
-            return Geometric(float(_require(data, "ratio", where)),
+            return Geometric(_number(_require(data, "ratio", where), f"{where}.ratio"),
                              _parse_complex(scale, f"{where}.scale"))
         if kind == "table":
             values = _require(data, "values", where)
@@ -269,7 +277,8 @@ def spectrum_from_json(data: Any, where: str = "$") -> SpectrumResult:
     verdict = _require(data, "verdict", where)
     points = data.get("points", [])
     parsed = tuple(
-        SpectrumPoint(CirclePoint(float(_require(p, "t", f"{where}.points[{i}]"))),
+        SpectrumPoint(CirclePoint(_number(_require(p, "t", f"{where}.points[{i}]"),
+                                          f"{where}.points[{i}].t")),
                       int(p.get("mult", 1)))
         for i, p in enumerate(points)
     )
@@ -278,8 +287,9 @@ def spectrum_from_json(data: Any, where: str = "$") -> SpectrumResult:
         return Empty(EmptyCertificate(
             combination=finseq_from_json(_require(cert, "combination", f"{where}.certificate"),
                                          f"{where}.certificate.combination"),
-            min_transform_modulus=float(_require(cert, "minTransformModulus",
-                                                 f"{where}.certificate")),
+            min_transform_modulus=_number(_require(cert, "minTransformModulus",
+                                                   f"{where}.certificate"),
+                                          f"{where}.certificate.minTransformModulus"),
             grid=int(_require(cert, "grid", f"{where}.certificate")),
         ))
     if verdict == "finite":

@@ -16,6 +16,11 @@ class DescriptorError(ValueError):
         self.location = location
 
 
+class NumericOverflowError(ValueError):
+    """A result left the float range: the input is finite, but the value
+    asked for would be inf or nan."""
+
+
 class AnnihilationError(ValueError):
     """A candidate annihilator was rejected; carries the measured residuals."""
 

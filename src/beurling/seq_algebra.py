@@ -23,6 +23,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .errors import NumericOverflowError
+
 #: Global angular tolerance for points on the circle (radians).  Shared by
 #: the spectral root-matching pipeline.
 ANGULAR_TOL = 1e-9
@@ -294,8 +296,12 @@ def fourier_grid(f: FinSeq, points: int = 4096) -> tuple[np.ndarray, np.ndarray]
     if points < 1:
         raise ValueError("the grid needs at least one point")
     t = 2.0 * math.pi * np.arange(points) / points
-    folded = _bincount((f._n % points).astype(np.intp, copy=False), f._v, points)
-    return t, np.fft.fft(folded)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        folded = _bincount((f._n % points).astype(np.intp, copy=False), f._v, points)
+        vals = np.fft.fft(folded)
+    if not np.isfinite(vals).all():
+        raise NumericOverflowError(f"the transform overflows the float range on the {points}-point grid")
+    return t, vals
 
 
 def vanishing_order(f: FinSeq, t: float | CirclePoint, tol: float = 1e-9) -> int:
@@ -323,7 +329,7 @@ def vanishing_order(f: FinSeq, t: float | CirclePoint, tol: float = 1e-9) -> int
         for j in range(int(f._n[-1] - f._n[0]) + 1):
             scale = float(np.sum(weights))
             if not math.isfinite(scale):
-                break
+                raise NumericOverflowError(f"the order-{j} derivative test overflows the float range")
             if abs(np.sum(terms)) > tol * scale:
                 return j
             terms = terms * dist

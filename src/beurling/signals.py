@@ -108,23 +108,38 @@ class Geometric:
         object.__setattr__(self, "scale", scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableSignal:
-    """Samples on the window [start, start + len(values) - 1]."""
+    """Samples on the window [start, start + len(values) - 1], held as one
+    read-only complex array.
+
+    Equal when the windows and every sample agree; the hash agrees with that.
+    """
 
     start: int
-    values: tuple[complex, ...]
+    values: np.ndarray
 
-    def __init__(self, start: int, values: Sequence[complex]):
-        values = tuple(complex(v) for v in values)
-        if not values:
+    def __init__(self, start: int, values: Sequence[complex] | np.ndarray):
+        values = np.array(values, dtype=complex)  # a copy: callers keep theirs
+        if values.ndim != 1:
+            raise ValueError(f"samples must be one-dimensional, got shape {values.shape}")
+        if not values.size:
             raise ValueError("table signal needs at least one sample")
+        values.flags.writeable = False
         object.__setattr__(self, "start", int(start))
         object.__setattr__(self, "values", values)
 
     @property
     def end(self) -> int:
         return self.start + len(self.values) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TableSignal):
+            return NotImplemented
+        return self.start == other.start and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.start, (self.values + 0.0).tobytes()))  # + 0.0 folds -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -185,7 +200,7 @@ def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
             raise WindowError(
                 f"range [{lo}, {hi}] outside table window [{s.start}, {s.end}]"
             )
-        return np.asarray(s.values[lo - s.start: hi - s.start + 1], dtype=complex)
+        return s.values[lo - s.start: hi - s.start + 1].copy()
     if isinstance(s, CumSum):
         parts = []
         if lo < 0:  # chunks below 0 come outward; put them back in order of n
@@ -271,7 +286,7 @@ def signal_is_zero(s: Signal, tol: float = 0.0) -> bool:
     if isinstance(s, Geometric):
         return abs(s.scale) <= tol
     if isinstance(s, TableSignal):
-        return all(abs(v) <= tol for v in s.values)
+        return bool(np.all(np.abs(s.values) <= tol))
     if isinstance(s, CumSum):
         return signal_is_zero(s.inner, tol)
     raise TypeError(f"not a signal: {s!r}")
@@ -346,7 +361,7 @@ def scale_signal(s: Signal, k: complex) -> Signal:
     if isinstance(s, Geometric):
         return Geometric(s.ratio, k * s.scale)
     if isinstance(s, TableSignal):
-        return TableSignal(s.start, [k * v for v in s.values])
+        return TableSignal(s.start, k * s.values)
     if isinstance(s, CumSum):
         return CumSum(scale_signal(s.inner, k))
     raise TypeError(f"not a signal: {s!r}")
@@ -437,9 +452,8 @@ def annihilate(f: FinSeq, s: Signal, tol: float = 1e-8) -> AnnihilationResult:
             raise WindowError(
                 "table window too small to slide the annihilator support"
             )
-        values = np.asarray(s.values, dtype=complex)
-        out = np.correlate(values, f._dense()[1], "valid")  # conjugates f
-        sup, peak = float(np.max(np.abs(out))), float(np.max(np.abs(values)))
+        out = np.correlate(s.values, f._dense()[1], "valid")  # conjugates f
+        sup, peak = float(np.max(np.abs(out))), float(np.max(np.abs(s.values)))
         if not math.isfinite(sup + peak):
             raise ValueError("table annihilation needs finite samples and correlation")
         return AnnihilationResult(TableSignal(s.start - m_lo, out),

@@ -18,10 +18,11 @@ it.  At desk scale this module computes:
 * a symbolic checker for the spectral-calculus laws.
 
 Unit-circle roots of a polynomial of degree D come from its companion
-matrix while D <= LOCAL_ORDER.  Above that a grid test with Taylor bounds
-proves most of the circle free of roots within the acceptance band, and
-short pieces of the cells it leaves open each get a small Taylor
-eigenproblem, so no D x D eigenproblem is formed.
+matrix while D <= LOCAL_ORDER.  Above that a grid test with third-order
+Taylor bounds proves most of the circle free of roots within the acceptance
+band, and short pieces of the cells it leaves open each get a Taylor
+eigenproblem of at most LOCAL_ORDER, just large enough that its tail stays
+below the bound LOCAL_ORDER guarantees, so no D x D eigenproblem is formed.
 
 Empty verdicts always carry a certificate: a member of the ideal whose
 transform is bounded away from zero on a grid.
@@ -84,22 +85,30 @@ HANKEL_NULL_REL = 1e-10
 ROOT_CLUSTER_RADIUS = 1e-3
 
 #: Degree up to which circle roots come from the whole polynomial's
-#: companion matrix, and the order of each local Taylor problem above it:
-#: at this degree a local expansion would be the whole polynomial anyway.
+#: companion matrix, and the largest order of a local Taylor problem above
+#: it: at this degree a local expansion would be the whole polynomial anyway.
 LOCAL_ORDER = 28
 
 #: Grid cells per unit of degree (G is the next power of two).  A piece
 #: keeps local roots within rho = half-width + h + 2 ROOT_CLUSTER_RADIUS of
-#: its centre, where the Taylor tail is below sum |c| (D rho)^29 / 29!.  With
-#: cells of width 2 pi/(32 D), D rho stays under 2.3 up to degree 256 (tail
-#: 3e-21 sum |c|, far below rounding); the arc a piece owns stays under
-#: D rho = 1.7 (tail 1e-24) at any degree, and only the scattered members
-#: of a cluster lie further out, where the tail grows with D.
+#: its centre, where a Taylor problem of order K leaves a tail below
+#: sum |c| (D rho)^(K+1) / (K+1)!.  With cells of width 2 pi/(32 D), D rho
+#: stays under 2.3 up to degree 256, where order LOCAL_ORDER leaves a tail
+#: of 3.5e-21 sum |c|, far below rounding; the arc a piece owns stays under
+#: D rho = 1.7 at any degree, and only the scattered members of a cluster
+#: lie further out, where the tail grows with D.  The grid test's rounding
+#: term needs G >= 32 D too (see _open_cells).
 GRID_PER_DEGREE = 32
 
 #: Open cells per local problem: a wider piece would push D rho, and with
-#: it the Taylor tail, up; a narrower one costs more eigenproblems.
+#: it the Taylor order its tail needs, up; a narrower one costs more
+#: eigenproblems.
 PIECE_CELLS = 16
+
+#: The Taylor tail (D rho)^(K+1)/(K+1)! that order LOCAL_ORDER leaves at the
+#: worst case D rho = 2.3 above.  Each piece solves the least order K whose
+#: tail is no larger, so a piece of small D rho gets a smaller eigenproblem.
+_LOCAL_TAIL = 2.3 ** (LOCAL_ORDER + 1) / math.factorial(LOCAL_ORDER + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +208,23 @@ def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     return clusters
 
 
+def _horner(high_first: list, z: complex) -> complex:
+    """Horner's rule on Python complexes, highest coefficient first: the
+    operations of P.polyval in its order, without numpy's per-scalar cost."""
+    acc = high_first[0]
+    for a in high_first[1:]:
+        acc = a + acc * z
+    return acc
+
+
 def _refine_root(coeffs: np.ndarray, z0: complex, mult: int) -> complex:
     """Newton on the (mult-1)-th derivative, where the root is simple."""
     d = P.polyder(coeffs, mult - 1)
-    dd = P.polyder(d)
-    z = z0
+    f, df = d.tolist()[::-1], P.polyder(d).tolist()[::-1]
+    z = complex(z0)
     for _ in range(8):
-        fz = P.polyval(z, d)
-        dz = P.polyval(z, dd)
+        fz = _horner(f, z)
+        dz = _horner(df, z)
         if dz == 0:
             break
         step = fz / dz
@@ -237,18 +255,21 @@ def _open_cells(c: np.ndarray, unimod_tol: float) -> np.ndarray:
 
     With F(t) = sum c_n e^{i(n - D/2)t}, |F| = |p(e^{it})|, and Taylor's
     bound on a cell from its centre, |F| >= |F_j| - |F'_j| h/2
-    - |F''_j| h^2/8 - M3 h^3/48 with M3 = sum |c_n| |n - D/2|^3.  A root
-    (1 + d) e^{it} with |d| < tol forces |p(e^{it})| < tol M1 (1 + tol)^(D-1),
-    M1 = sum n |c_n|; the factor 2 and G eps sum|c| cover the FFTs' rounding.
+    - |F''_j| h^2/8 - |F'''_j| h^3/48 - M4 h^4/384 with
+    M4 = sum |c_n| |n - D/2|^4.  A root (1 + d) e^{it} with |d| < tol forces
+    |p(e^{it})| < tol M1 (1 + tol)^(D-1), M1 = sum n |c_n|; the factor 2 and
+    G eps sum|c| cover the FFTs' rounding, since G >= 32 D scales the
+    rounding of |F^(k)_j| by (|n - D/2| h/2)^k/k! <= 0.05^k/k!.
     """
     D = len(c) - 1
     G = 1 << (GRID_PER_DEGREE * D - 1).bit_length()
     h = 2 * math.pi / G
     a = np.abs(c)
     n = np.arange(D + 1) - D / 2
-    # |sum_n c_n (n - D/2)^j e^{int_j}|, j = 0, 1, 2, by inverse FFTs scaled by G
-    f0, f1, f2 = (np.abs(np.fft.ifft(c * n ** j, G)) * G for j in range(3))
-    lower = f0 - f1 * h / 2 - f2 * h * h / 8 - float(np.sum(a * np.abs(n) ** 3)) * h ** 3 / 48
+    # |sum_n c_n (n - D/2)^k e^{int_j}|, k = 0..3, by inverse FFTs scaled by G
+    f0, f1, f2, f3 = (np.abs(np.fft.ifft(c * n ** k, G)) * G for k in range(4))
+    lower = (f0 - f1 * h / 2 - f2 * h ** 2 / 8 - f3 * h ** 3 / 48
+             - float(np.sum(a * n ** 4)) * h ** 4 / 384)
     growth = math.exp(min((D - 1) * math.log1p(unimod_tol), 700.0))
     band = 2 * float(np.sum(np.arange(D + 1) * a)) * unimod_tol * growth
     return lower <= band + G * np.finfo(float).eps * float(np.sum(a))
@@ -265,10 +286,41 @@ def _open_runs(open_cells: np.ndarray) -> list[np.ndarray]:
     return np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
 
 
+def _taylor_order(reach: float) -> int:
+    """Least order 1 <= K <= LOCAL_ORDER whose Taylor tail
+    reach^(K+1)/(K+1)!, reach = D rho, is at most _LOCAL_TAIL."""
+    tail = reach * reach / 2
+    for K in range(1, LOCAL_ORDER):
+        if tail <= _LOCAL_TAIL:
+            return K
+        tail *= reach / (K + 2)
+    return LOCAL_ORDER
+
+
+def _local_roots(local: np.ndarray, reach: Sequence[float]) -> list[np.ndarray]:
+    """Roots v of sum_k local[i, k] v^k, k <= K_i = _taylor_order(reach[i]),
+    for each row i: one stacked companion eigenproblem per order, or
+    np.roots, which drops a zero leading coefficient, where local[i, K_i] = 0."""
+    orders = [_taylor_order(x) for x in reach]
+    out = [None] * len(orders)
+    for K in set(orders):
+        rows = [i for i, k in enumerate(orders) if k == K and local[i, K] != 0]
+        companion = np.zeros((len(rows), K, K), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(K - 1)
+        companion[:, 0, :] = -local[rows, K - 1::-1] / local[rows, K, None]
+        for i, v in zip(rows, np.linalg.eigvals(companion)):
+            out[i] = v
+    for i, K in enumerate(orders):
+        if out[i] is None:
+            out[i] = np.roots(local[i, K::-1])
+    return out
+
+
 def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex, int]]:
     """Circle roots of a polynomial of degree D > LOCAL_ORDER: a grid test
-    closes root-free cells, and each piece of the open runs gets one
-    degree-LOCAL_ORDER Taylor eigenproblem at its centre."""
+    closes root-free cells, and each piece of the open runs gets one Taylor
+    eigenproblem at its centre, of the least order whose tail stays within
+    _LOCAL_TAIL (at most LOCAL_ORDER)."""
     D = len(c) - 1
     open_cells = _open_cells(c, unimod_tol)
     h = 2 * math.pi / open_cells.size
@@ -288,12 +340,11 @@ def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex,
     # mu <= h/4 keeps the margins of two runs apart, and 2 mu below
     # ROOT_CLUSTER_RADIUS means one piece never has two clusters that close.
     mu = min(h, ROOT_CLUSTER_RADIUS) / 4
+    reach = [D * (p.size * h / 2 + h + 2 * ROOT_CLUSTER_RADIUS) for p in pieces]
     claims = []
-    for i, (piece, t0) in enumerate(zip(pieces, centres)):
+    for i, (piece, t0, v) in enumerate(zip(pieces, centres, _local_roots(local, reach))):
         half = piece.size * h / 2
-        rho = half + h + 2 * ROOT_CLUSTER_RADIUS
-        v = np.roots(local[i, ::-1])
-        z = cmath.exp(1j * t0) + v[np.abs(v) <= D * rho] / D
+        z = cmath.exp(1j * t0) + v[np.abs(v) <= reach[i]] / D
         for center, mult in _cluster_roots(z):
             d = (cmath.phase(center) - t0 + math.pi) % (2 * math.pi) - math.pi
             if -half - mu <= d < half + mu:
@@ -316,10 +367,10 @@ def polynomial_circle_roots(
     Up to degree LOCAL_ORDER the whole polynomial's companion-matrix
     eigenvalues are clustered.  Above it a grid test on the circle proves
     most cells root-free, and short pieces of the remaining cells each get
-    a degree-LOCAL_ORDER Taylor eigenproblem whose clusters are kept by the
-    piece that owns their angle.  Cluster centres within reach of the circle
-    are refined by Newton steps on the appropriate derivative and kept when
-    ||z| - 1| < unimod_tol.
+    a Taylor eigenproblem of order at most LOCAL_ORDER whose clusters are
+    kept by the piece that owns their angle.  Cluster centres within reach
+    of the circle are refined by Newton steps on the appropriate derivative
+    and kept when ||z| - 1| < unimod_tol.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
@@ -579,7 +630,7 @@ def decompose_finite_spectrum(
     if k_max < 1 or n_max < 0:
         raise ValueError("need k_max >= 1 and n_max >= 0")
     max_order = k_max * (n_max + 1)
-    vals = np.asarray(samples.values, dtype=complex)
+    vals = samples.values
     L = len(vals)
     if L < 4 * max_order:
         raise ValueError(

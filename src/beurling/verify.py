@@ -284,9 +284,7 @@ def _suite_finite_spectrum_roundtrip(seed: int, trials: int) -> SuiteReport:
             failures += 1
             continue
         fgap, cgap = roundtrip_gaps(truth, rec)
-        res = float(np.max(np.abs(
-            np.asarray(sample_signal(rec, -60, 60).values)
-            - np.asarray(samples.values))))
+        res = float(np.max(np.abs(sample_signal(rec, -60, 60).values - samples.values)))
         worst_freq = max(worst_freq, fgap)
         worst_coeff = max(worst_coeff, cgap)
         worst_res = max(worst_res, res)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -366,6 +367,49 @@ class TestErrorPaths:
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         code, out = run(capsys, *argv, str(path))
         assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("key, argv, payload", [
+        ("$.a", ["seq", "norm", "--weight"], {"kind": "power", "a": "1e400"}),
+        ("$.a", ["seq", "norm", "--weight"], {"kind": "power", "a": "2"}),
+        ("$.a", ["seq", "norm", "--weight"], {"kind": "power", "a": True}),
+        ("$.base", ["seq", "norm", "--weight"], {"kind": "exponential", "base": "2"}),
+        ("$.values[1]", ["seq", "norm", "--weight"],
+         {"kind": "table", "halfWindow": 2, "values": [1, "1e400", 1]}),
+        ("$.values[0]", ["seq", "norm", "--weight"],
+         {"kind": "table", "halfWindow": 0, "values": [False]}),
+        ("$.right.a", ["seq", "norm", "--weight"],
+         {"kind": "product", "left": {"kind": "power", "a": 1}, "right": {"kind": "power", "a": "nan"}}),
+        ("$.signal.ratio", ["weight", "check", "--weight"],
+         {"kind": "signalDerived", "supWindow": 2, "signal": {"kind": "geometric", "ratio": "2"}}),
+        ("$.ratio", ["spectrum", "--signal"], {"kind": "geometric", "ratio": "inf"}),
+        ("$.terms[0].t", ["spectrum", "--signal"],
+         {"kind": "expPoly", "terms": [{"t": "nan", "coeffs": [1]}]}),
+        ("$.terms[0].t", ["spectrum", "--signal"],
+         {"kind": "expPoly", "terms": [{"t": True, "coeffs": [1]}]}),
+        ("$.values[1]", ["spectrum", "--signal"],
+         {"kind": "table", "start": 0, "values": [1, True, 3]}),
+    ])
+    def test_number_positions_take_only_json_numbers(self, tmp_path, capsys, key, argv, payload):
+        path = write(tmp_path, "in.json", payload)
+        if argv[:2] == ["seq", "norm"]:
+            argv = ["seq", "norm", "--seq", write(tmp_path, "f.json", {"entries": [[0, 1, 0]]}),
+                    *argv[2:]]
+        code = main([*argv, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: {key}: expected a")
+
+    @pytest.mark.parametrize("argv", [
+        ["seq", "ft", "--grid", "8"], ["seq", "ft", "--grid", "8", "--csv"], ["seq", "order", "--t", "0"],
+    ])
+    def test_overflow_is_reported_as_overflow(self, tmp_path, capsys, argv):
+        seq = write(tmp_path, "f.json", {"entries": [[0, 1e308, 0], [1, 1e308, 0], [2, 1e308, 1e308]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape
+            code = main([*argv[:2], "--seq", seq, *argv[2:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "overflows the float range" in captured.err
 
     def test_window_error_is_input_error(self, tmp_path, capsys):
         sig = write(tmp_path, "s.json",

@@ -113,6 +113,27 @@ class TestErrors:
         with pytest.raises(DescriptorError, match="fullCircle"):
             spectrum_from_json({"verdict": "fullCircle", "points": []})
 
+    @pytest.mark.parametrize("where, data", [
+        (r"\$\.points\[0\]\.t", {"verdict": "finite", "points": [{"t": "0.5", "mult": 1}]}),
+        (r"\$\.points\[0\]\.t", {"verdict": "finite", "points": [{"t": False}]}),
+        (r"\$\.certificate\.minTransformModulus",
+         {"verdict": "empty", "points": [],
+          "certificate": {"combination": {"entries": [[0, 1, 0]]},
+                          "minTransformModulus": "1.0", "grid": 8}}),
+    ])
+    def test_spectrum_numbers_must_be_json_numbers(self, where, data):
+        with pytest.raises(DescriptorError, match=where + ": expected a JSON number"):
+            spectrum_from_json(data)
+
+    @pytest.mark.parametrize("value", [True, "1", [1, True], ["1", 0], None])
+    def test_complex_values_must_be_json_numbers(self, value):
+        with pytest.raises(DescriptorError, match=r"values\[0\]"):
+            signal_from_json({"kind": "table", "start": 0, "values": [value]})
+
+    def test_integer_past_the_float_range_names_its_key(self):
+        with pytest.raises(DescriptorError, match=r"\$\.a: "):
+            weight_from_json({"kind": "power", "a": 10 ** 400})
+
     def test_finseq_offset_must_be_int(self):
         with pytest.raises(DescriptorError):
             finseq_from_json({"entries": [[0.5, 1, 0]]})

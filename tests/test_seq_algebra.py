@@ -1,11 +1,13 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beurling.errors import NumericOverflowError
 from beurling.seq_algebra import (
     DENSE_SPAN_RATIO,
     CirclePoint,
@@ -200,6 +202,27 @@ class TestFourier:
             want = sum(v * cmath.exp(-2j * math.pi * ((n * k) % points) / points) for n, v in f)
             assert ts[k] == pytest.approx(2 * math.pi * k / points, abs=1e-15)
             assert abs(vals[k] - want) <= 1e-12 * f.abs_sum()
+
+
+class TestOverflow:
+    BIG = FinSeq({0: 1e308, 1: 1e308, 2: 1e308 + 1e308j})
+
+    def test_fourier_grid_overflow_is_an_overflow_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes either
+            with pytest.raises(NumericOverflowError, match="overflows the float range"):
+                fourier_grid(self.BIG, 8)
+            with pytest.raises(NumericOverflowError):  # offsets 0 and 8 fold onto one point
+                fourier_grid(FinSeq({0: 1e308, 8: 1e308}), 8)
+
+    def test_vanishing_order_overflow_is_an_overflow_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="order-0 derivative test overflows"):
+                vanishing_order(self.BIG, 0.0)
+            # order 0 reads zero; the order-1 bound 2e307 (1 + 500) overflows
+            with pytest.raises(NumericOverflowError, match="order-1 derivative test overflows"):
+                vanishing_order(FinSeq({0: 1e307, 1000: -1e307}), 0.0)
 
 
 class TestVanishingOrder:

@@ -24,6 +24,7 @@ from beurling.signals import (
     modulate_signal,
     outward_chunks,
     sample_signal,
+    scale_signal,
     signal_is_zero,
     translate_signal,
     weighted_sup,
@@ -56,6 +57,34 @@ class TestConstruction:
     def test_table_needs_samples(self):
         with pytest.raises(ValueError):
             TableSignal(0, [])
+
+    def test_table_holds_a_read_only_copy(self):
+        given = np.array([1.0, 2j, -3.0])
+        t = TableSignal(-2, given)
+        given[0] = 99
+        assert t.values.dtype == complex and not t.values.flags.writeable
+        assert np.array_equal(t.values, [1, 2j, -3])
+        with pytest.raises(ValueError):
+            t.values[0] = 5
+        with pytest.raises(ValueError):
+            TableSignal(0, np.ones((2, 2)))
+
+    def test_table_value_equality_and_hash(self):
+        a, b = TableSignal(-2, [1, 2j, -3]), TableSignal(-2, (1.0, 2j, -3 + 0j))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != TableSignal(-1, [1, 2j, -3]) and a != TableSignal(-2, [1, 2j, -3, 0])
+        assert TableSignal(0, [0.0]) == TableSignal(0, [-0.0])
+        assert hash(TableSignal(0, [0.0])) == hash(TableSignal(0, [-0.0]))
+        assert CumSum(a) == CumSum(b)
+
+    def test_table_operations_return_fresh_arrays(self):
+        t = TableSignal(0, [1.0, 2.0, 3.0, 4.0])
+        vals = eval_signal_range(t, 1, 2)
+        vals[0] = 7  # a fresh array, not a view of the table
+        assert np.array_equal(t.values, [1, 2, 3, 4])
+        assert np.array_equal(scale_signal(t, 2j).values, [2j, 4j, 6j, 8j])
+        assert signal_is_zero(scale_signal(t, 0)) and not signal_is_zero(t, tol=3.9)
+        assert signal_is_zero(t, tol=4.0)
 
 
 class TestEval:

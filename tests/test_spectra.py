@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from beurling import spectra
 from beurling.diff_calculus import LatticePoly, degree
@@ -645,3 +646,162 @@ class TestLocalCircleRoots:
         got = polynomial_circle_roots(coeffs)
         _assert_same_roots(got, _on_circle(_ref_polished(coeffs)))
         _assert_planted(got, roots)
+
+
+# ---------------------------------------------------------------------------
+# the third-order cell test and the per-piece Taylor order
+
+
+def _band(c, tol=spectra.UNIMODULAR_TOL):
+    """The level |p| stays above on a closed cell: twice what a root within
+    tol of the circle allows, 2 tol sum n |c_n| (1 + tol)^(D - 1)."""
+    D = len(c) - 1
+    return 2 * float(np.sum(np.arange(D + 1) * np.abs(c))) * tol * (1 + tol) ** (D - 1)
+
+
+def _fault_shape(t, m, support=128):
+    """A zero-free factor times (1 - e^{it} u)^m expanded first, drawn with
+    default_rng(m): one generator of the shape whose multiple root defeats
+    the hull."""
+    rng = np.random.default_rng(m)
+    c = rng.normal(size=support - m - 1) + 1j * rng.normal(size=support - m - 1)
+    c *= rng.uniform(0.5, 0.9) / np.sum(np.abs(c))
+    factor = np.ones(1, dtype=complex)
+    for _ in range(m):
+        factor = np.convolve(factor, [1.0, -cmath.exp(1j * t)])
+    return np.convolve(np.concatenate(([1.0 + 0j], c)), factor)
+
+
+def _count_eigenproblems(monkeypatch):
+    """Record the order of every eigenproblem np.roots or np.linalg.eigvals
+    solves from here on, one entry per matrix of a stack."""
+    orders = []
+    real_eigvals, real_roots = np.linalg.eigvals, np.roots
+
+    def eigvals(a):
+        orders.extend([a.shape[-1]] * int(np.prod(a.shape[:-2])))
+        return real_eigvals(a)
+
+    def roots(p):
+        orders.append(len(np.trim_zeros(np.asarray(p), "f")) - 1)
+        return real_roots(p)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(np, "roots", roots)
+    return orders
+
+
+class TestCellTestAndTaylorOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        support=st.integers(30, 400),
+        roots=st.lists(st.tuples(st.floats(0, 2 * math.pi), st.integers(1, 6),
+                                 st.sampled_from([1 + 5e-9, 1 - 5e-9])),
+                       min_size=1, max_size=4),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_every_closed_cell_is_root_free(self, support, roots, seed):
+        coeffs = _planted_coeffs(np.random.default_rng(seed), support, roots)
+        c = coeffs / np.max(np.abs(coeffs))
+        open_cells = spectra._open_cells(c, spectra.UNIMODULAR_TOL)
+        G = open_cells.size
+        h = 2 * math.pi / G
+        # |p| at 8 points a cell, both cell edges included, by one FFT
+        S = 8
+        p = np.abs(np.fft.ifft(c, S * G)) * (S * G)
+        closed = np.flatnonzero(~open_cells)
+        samples = p[(S * closed[:, None] + np.arange(-S // 2, S // 2 + 1)) % (S * G)]
+        assert samples.min(initial=np.inf) > _band(c)
+        for t, _, _ in roots:
+            assert open_cells[round(t / h) % G]
+
+    @pytest.mark.parametrize("reach", [0.01, 0.05, 0.3, 0.55, 1.0, 1.7, 2.0, 2.29, 2.3, 2.31, 4.0])
+    def test_least_order_whose_tail_is_within_the_cap(self, reach):
+        K = spectra._taylor_order(reach)
+        tail = [reach ** (k + 1) / math.factorial(k + 1) for k in range(J + 1)]
+        assert 1 <= K <= J
+        if reach <= 2.3:
+            assert tail[K] <= spectra._LOCAL_TAIL * (1 + 1e-12)
+        assert tail[K - 1] > spectra._LOCAL_TAIL * (1 - 1e-12)
+        assert K == J or reach < 2.3
+
+    @pytest.mark.parametrize("support", [J + 2, 60, 128, 200, 257])
+    def test_every_piece_solves_its_own_order(self, support, monkeypatch):
+        # up to degree 256 every piece has D rho <= 2.3, so every order,
+        # capped ones included, leaves a tail within _LOCAL_TAIL
+        reaches = []
+        real = spectra._local_roots
+
+        def recorded(local, reach):
+            reaches.extend(reach)
+            return real(local, reach)
+
+        monkeypatch.setattr(spectra, "_local_roots", recorded)
+        orders = _count_eigenproblems(monkeypatch)
+        roots = [(0.5, 2, 1.0), (2.0, 1, 1 + 5e-9), (4.0, 5, 1.0)]
+        coeffs = _planted_coeffs(np.random.default_rng(support), support, roots)
+        polynomial_circle_roots(coeffs)
+        want = [spectra._taylor_order(x) for x in reaches]
+        assert sorted(orders) == sorted(want)
+        assert all(x <= 2.3 for x in reaches)
+        assert all(x ** (K + 1) / math.factorial(K + 1) <= spectra._LOCAL_TAIL * (1 + 1e-12)
+                   for x, K in zip(reaches, want))
+        assert min(want) < J
+
+    def test_local_roots_match_np_roots_with_a_zero_leading_coefficient(self):
+        rng = np.random.default_rng(5)
+        local = rng.normal(size=(3, J + 1)) + 1j * rng.normal(size=(3, J + 1))
+        reach = [0.3, 0.3, 1.0]
+        K = spectra._taylor_order(0.3)
+        local[1, K] = 0  # np.roots drops it: one root fewer
+        got = spectra._local_roots(local, reach)
+        for row, x, v in zip(local, reach, got):
+            want = np.roots(row[spectra._taylor_order(x)::-1])
+            assert len(v) == len(want)
+            assert np.allclose(np.sort_complex(v), np.sort_complex(want), rtol=1e-9, atol=1e-12)
+        assert len(got[1]) == K - 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_gens=st.integers(1, 2))
+    def test_hull_verdicts_match_the_companion_reference(self, seed, n_gens):
+        rng = np.random.default_rng(seed)
+        angles = []
+        while len(angles) < 2 + n_gens:
+            t = float(rng.uniform(0, 2 * math.pi))
+            if all(circle_distance(t, u) >= 0.2 for u in angles):
+                angles.append(t)
+        radius = lambda: float(rng.choice([1.0, 1 + 5e-9, 1 - 5e-9]))
+        shared = [(t, radius()) for t in angles[: int(rng.integers(0, 3))]]
+        gens = [_planted(rng, int(rng.integers(J + 1, 241)),
+                         [(t, int(rng.integers(1, 3)), r) for t, r in shared]
+                         + [(angles[2 + i], int(rng.integers(1, 3)), radius())])
+                for i in range(n_gens)]
+        want = _ref_hull(gens, [_ref_polished(f._dense()[1]) for f in gens])
+        got = hull_of_generators(gens)
+        if not want:
+            assert isinstance(got, Empty)
+            return
+        assert isinstance(got, Finite)
+        assert [p.multiplicity for p in got.points] == [max(m, 1) for _, m in want]
+        for p, (t, _) in zip(got.points, want):
+            assert circle_distance(p.angle.t, t) <= ANGULAR_TOL
+
+    def test_multiple_roots_solve_few_local_eigenproblems(self, monkeypatch):
+        # a work count, not a timing: multiplicities 5 and 6 at support 128
+        # solved 46 local eigenproblems of order 28 under a second-order cell
+        # test with one order for every piece
+        orders = _count_eigenproblems(monkeypatch)
+        for t, m in [(1.0, 5), (2.5, 6)]:
+            polynomial_circle_roots(_fault_shape(t, m))
+        assert len(orders) <= 27
+        assert max(orders) <= J
+
+    def test_horner_is_polyval_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=241) + 1j * rng.normal(size=241)
+        high_first = c.tolist()[::-1]
+        for t in rng.uniform(0, 2 * math.pi, 20):
+            z = cmath.exp(1j * t) * (1 + float(rng.normal()) * 1e-3)
+            want = P.polyval(np.complex128(z), c)
+            got = spectra._horner(high_first, z)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
