@@ -27,8 +27,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .descriptors import (
     finseq_from_json,
@@ -41,7 +44,7 @@ from .descriptors import (
     weight_from_json,
 )
 from .diff_calculus import degree_with_witness
-from .errors import DescriptorError
+from .errors import DescriptorError, NumericOverflowError
 from .integration import boundedness_probe
 from .seq_algebra import convolve, fourier_grid, vanishing_order, weighted_norm
 from .signals import ExpPoly, Geometric, TableSignal
@@ -135,8 +138,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: json's C encoder, without the indent that would send it to the pure-Python one.
+_COMPACT = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, with
+    ``obj`` nested ``level`` deep.  A list of number rows (non-empty lists
+    of ints and floats) is one call of the C encoder, laid out by
+    ``str.replace``: a number never holds ',', '[' or ']'.  The rest
+    recurses, to scalars encoded as json encodes them."""
+    if isinstance(obj, dict):
+        items, ends = [f"{_key(k)}: {_dumps(v, level + 1)}" for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        if _number_rows(obj):
+            return _rows(obj, level)
+        items, ends = [_dumps(v, level + 1) for v in obj], "[]"
+    else:
+        return _COMPACT.encode(obj)
+    if not items:
+        return ends
+    inner = "\n" + "  " * (level + 1)
+    return ends[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + ends[1]
+
+
+def _number_rows(obj) -> bool:
+    """A non-empty list of non-empty lists, every item an int or a float
+    (bools among the ints, numpy float64 among the floats)."""
+    return bool(obj) and all(isinstance(r, (list, tuple)) and r for r in obj) and all(
+        issubclass(t, (int, float)) for t in {type(v) for r in obj for v in r})
+
+
+def _rows(rows, level: int) -> str:
+    """The indented layout of number rows nested ``level`` deep."""
+    outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    body = _COMPACT.encode(rows)[2:-2].replace(",", "," + inner)
+    body = body.replace("]," + inner + "[", outer + "]," + outer + "[" + inner)
+    return "[" + outer + "[" + inner + body + outer + "]\n" + "  " * level + "]"
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: strings as they are, and None, bools,
+    ints and floats as their JSON text in quotes."""
+    if isinstance(k, str):
+        return _COMPACT.encode(k)
+    if k is None or isinstance(k, (int, float)):
+        return f'"{_COMPACT.encode(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    print(_dumps(payload))
 
 
 def _cmd_weight_check(args) -> int:
@@ -165,8 +217,10 @@ def _cmd_weight_check(args) -> int:
 def _cmd_seq(args) -> int:
     f = finseq_from_json(load_json_file(args.seq))
     if args.subcommand == "norm":
-        w = weight_from_json(load_json_file(args.weight))
-        _emit({"norm": weighted_norm(f, w)})
+        norm = weighted_norm(f, weight_from_json(load_json_file(args.weight)))
+        if not math.isfinite(norm):
+            raise NumericOverflowError("the weighted norm overflows the float range")
+        _emit({"norm": norm})
         return 0
     if args.subcommand == "ft":
         ts, vals = fourier_grid(f, args.grid)
@@ -176,8 +230,7 @@ def _cmd_seq(args) -> int:
                 print(f"{float(t)!r},{float(v.real)!r},{float(v.imag)!r}")
         else:
             _emit({"grid": args.grid,
-                   "values": [[float(t), v.real, v.imag]
-                              for t, v in zip(ts, vals)]})
+                   "values": np.column_stack((ts, vals.real, vals.imag)).tolist()})
         return 0
     if args.subcommand == "order":
         _emit({"t": args.t, "order": vanishing_order(f, args.t, args.tol)})

@@ -183,19 +183,28 @@ def _exact_terms(p: LatticePoly) -> list[tuple[Vector, int, int]]:
             for (alpha, _), (re, im) in zip(p.coeffs, parts)]
 
 
+def _binomial_row(x: int, y: int, e: int) -> list[int]:
+    """The coefficients C(e, k) x^(e-k) y^k of (x + t y)^e, k = 0..e, for
+    x != 0, each from the one before by the factor (e - k) y / ((k + 1) x):
+    every product has one small factor, and every division is exact."""
+    row = [x ** e]
+    for k in range(e):
+        row.append(row[-1] * ((e - k) * y) // ((k + 1) * x))
+    return row
+
+
 def _restriction(
     terms: Sequence[tuple[Vector, int, int]], x: Vector, y: Vector
 ) -> dict[int, tuple[int, int]]:
     """Non-zero coefficients q_d = (re, im) of t -> sum (a + ib) (x + t y)^alpha,
     in integers.  A factor (x_i + t y_i)^e with x_i = 0 or y_i = 0 is one
-    term; the others are binomial expansions, convolved."""
+    term; the others are binomial rows, convolved."""
     q: dict[int, tuple[int, int]] = {}
     for alpha, a, b in terms:
         shift, scale, poly = 0, 1, [1]  # scale * t^shift * sum_k poly[k] t^k
         for x_i, y_i, e in zip(x, y, alpha):
             if x_i and y_i:
-                binom = [math.comb(e, k) * x_i ** (e - k) * y_i ** k for k in range(e + 1)]
-                poly = np.convolve(np.array(poly, dtype=object), np.array(binom, dtype=object))
+                poly = np.convolve(np.array(poly, dtype=object), np.array(_binomial_row(x_i, y_i, e), dtype=object))
             else:
                 shift, scale = shift + (0 if x_i else e), scale * (x_i or y_i) ** e
         for d, c in enumerate(poly, shift):
@@ -203,6 +212,35 @@ def _restriction(
                 re, im = q.get(d, (0, 0))
                 q[d] = (re + a * c, im + b * c)
     return q
+
+
+def _line_bound(terms: Sequence[tuple[Vector, int, int]], bar: int, den: int):
+    """A test (x, y, best) -> bool that says True only when no d > best can
+    pass the zero rule along t -> p(x + t y), decided without expanding;
+    None when it could never say True.  The rule's bar tol^2 max|c|^2 is
+    bar / den.  Coefficientwise (x_i + t y_i) is below M + t M, M the
+    largest |x_i| and |y_i| (or 1), so a term of degree e >= d adds at most
+    |c| e! / (e - d)! M^e <= |c| e! M^e to d! |q_d|.  A term with
+    den |c|^2 >= bar reaches the bar alone, so the test needs best >= its
+    degree.  The logs are floats: their sum must fall short of
+    log(tol max|c|) by a margin far past their rounding."""
+    floor = max(sum(alpha) for alpha, a, b in terms if den * (a * a + b * b) >= bar)
+    small = [(sum(alpha), 0.5 * math.log(a * a + b * b)) for alpha, a, b in terms if sum(alpha) > floor]
+    if not small:
+        return None
+    e, log_c = np.array(small).T
+    log_c += [math.lgamma(k + 1) for k in e.tolist()]  # |c| e!
+    log_bar = 0.5 * (math.log(bar) - math.log(den))  # log(tol max|c|)
+    scale = 1 + abs(log_bar) + 2 * np.abs(log_c).max()
+
+    def below_bar(x: Vector, y: Vector, best: int) -> bool:
+        if best < floor:
+            return False
+        log_m = math.log(max(map(abs, x + y)) or 1)
+        margin = 1e-9 * (scale + e.max() * log_m)
+        return np.logaddexp.reduce((log_c + e * log_m)[e > best], initial=-np.inf) < log_bar - margin
+
+    return below_bar
 
 
 def _restriction_degree(
@@ -216,16 +254,26 @@ def _restriction_degree(
     # max|c| <= tol * max|c| holds exactly when p = 0 or tol >= 1
     if not terms or tol >= 1:
         return -1, None
+    top = p.total_degree()
     tol2 = Fraction(tol) ** 2
     bar = tol2.numerator * max(a * a + b * b for _, a, b in terms)  # tol^2 max|c|^2
     weight = cache(lambda d: math.factorial(d) ** 2 * tol2.denominator)  # d!^2, in bar's units
+    # while bits(weight(d)) + bits(|q_d|^2) < bits(bar), weight(d) |q_d|^2 < 2^(bits(bar) - 1)
+    # <= bar: d fails without the product
+    deficit = cache(lambda d: bar.bit_length() - weight(d).bit_length())
+    below_bar = _line_bound(terms, bar, tol2.denominator)
     best, witness = 0, None
     for x, y in default_probes(p) if pairs is None else pairs:
-        q = sorted(_restriction(terms, x, y).items(), reverse=True)
-        deg = next((d for d, (re, im) in q if weight(d) * (re * re + im * im) > bar), 0)
+        if below_bar and below_bar(x, y, best):
+            deg = 0  # no d > best passes
+        else:
+            q = sorted(_restriction(terms, x, y).items(), reverse=True)
+            deg = next((d for d, (re, im) in q
+                        if (mod2 := re * re + im * im).bit_length() >= deficit(d)
+                        and weight(d) * mod2 > bar), 0)
         if witness is None or deg > best:
             best, witness = deg, y
-            if best == p.total_degree():
+            if best == top:
                 break
     return best, witness
 
@@ -286,25 +334,33 @@ def degree(phi: Lattice, window: Optional[int] = None, tol: float = _TOL) -> Opt
 
 def newton_expand(
     phi: LatticePoly, x: Sequence[int], y: Sequence[int], m: int
-) -> tuple[complex, complex]:
-    """Both sides of the binomial difference expansion at (x, y, m):
-    left phi(x + m y), right sum_j C(m, j) (D_y^j phi)(x), with D_y^j phi(x)
-    the first entry of the j-th forward-difference row of the evaluations
-    phi(x + i y).  The right side stops at j = min(m, total degree), as
-    D_y^j phi = 0 past the degree; the full sum to m holds for any function.
-    Exact inputs give exactly equal outputs."""
+) -> tuple[tuple, tuple]:
+    """Both sides of the binomial difference expansion at (x, y, k) for
+    every k = 0..m, as two tuples indexed by k: left phi(x + k y), right
+    sum_j C(k, j) (D_y^j phi)(x), with D_y^j phi(x) the first entry of the
+    j-th forward-difference row of the evaluations phi(x + i y).  The right
+    side stops at j = min(k, total degree), as D_y^j phi = 0 past the
+    degree; the full sum to k holds for any function.  Each point of the
+    line is evaluated once, and the difference rows use the first
+    min(m, total degree) + 1 of those values.  Exact inputs give exactly
+    equal outputs."""
     if m < 0:
         raise ValueError("m must be >= 0")
     x = tuple(int(v) for v in x)
     y = tuple(int(v) for v in y)
-    lhs = phi.evaluate(tuple(a + m * b for a, b in zip(x, y)))
-    top = min(m, phi.total_degree())
-    row = [phi.evaluate(tuple(a + i * b for a, b in zip(x, y))) for i in range(top + 1)]
-    rhs = 0
-    for j in range(top + 1):
-        rhs = rhs + math.comb(m, j) * row[0]
+    lhs = tuple(phi.evaluate(tuple(a + k * b for a, b in zip(x, y))) for k in range(m + 1))
+    row = list(lhs[: min(m, phi.total_degree()) + 1])
+    diffs = []  # diffs[j] = (D_y^j phi)(x)
+    while row:
+        diffs.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    return lhs, rhs
+    rhs = []
+    for k in range(m + 1):
+        total = 0
+        for j, d in enumerate(diffs[: k + 1]):
+            total = total + math.comb(k, j) * d
+        rhs.append(total)
+    return lhs, tuple(rhs)
 
 
 def domar_degree(

@@ -166,7 +166,7 @@ class FinSeq:
     def _from_dense(lo: int, a: np.ndarray) -> "FinSeq":
         """The sequence n -> a[n - lo], pruned as arithmetic results are."""
         mags = np.abs(a)
-        keep = np.flatnonzero(mags > PRUNE_REL * mags.max(initial=0.0))
+        keep = np.flatnonzero(mags > PRUNE_REL * _finite_max(mags))
         if not len(keep):
             return FinSeq()
         return FinSeq._of(_offset_sum(keep, lo, lo + int(keep[0]), lo + int(keep[-1])), a[keep])
@@ -175,7 +175,7 @@ class FinSeq:
 
     def _pruned(self) -> "FinSeq":
         mags = np.abs(self._v)
-        keep = mags > PRUNE_REL * mags.max(initial=0.0)
+        keep = mags > PRUNE_REL * _finite_max(mags)
         return self if keep.all() else FinSeq._of(self._n[keep], self._v[keep])
 
     def __add__(self, other: "FinSeq") -> "FinSeq":
@@ -203,6 +203,16 @@ class FinSeq:
 def _offset_dtype(lo: int, hi: int):
     """Storage type of sorted offsets whose extremes are lo and hi."""
     return np.int64 if -_INT64_OFFSETS < lo and hi < _INT64_OFFSETS else object
+
+
+def _finite_max(mags: np.ndarray) -> float:
+    """The largest of the moduli (0 for none), which the zero rule scales
+    by: NumericOverflowError when it is inf or nan, since a rule relative
+    to it would prune every entry."""
+    top = mags.max(initial=0.0)
+    if not math.isfinite(top):
+        raise NumericOverflowError("the result overflows the float range")
+    return top
 
 
 def _offset_sum(a: np.ndarray, b, lo: int, hi: int) -> np.ndarray:

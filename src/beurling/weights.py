@@ -31,6 +31,10 @@ from .signals import Signal, eval_signal_range
 #: powers of reals are inexact.
 SUBMULT_TOL = 1e-9
 
+#: ``check_weight_axioms`` tests about this many pairs (n, m) at once, which
+#: bounds its working memory whatever the window.
+AXIOM_BLOCK = 2 ** 15
+
 
 @dataclass(frozen=True)
 class PowerWeight:
@@ -236,17 +240,19 @@ def check_weight_axioms(w: WeightSpec, window: int) -> WeightReport:
     low = inside & ~(vals >= 1.0)
     violations = [(int(n), 0, f"w({n}) = {float(v)} < 1") for n, v in zip(ns[low], vals[low])]
     slack = math.log1p(SUBMULT_TOL)
-    for n in ns[inside & (2 * ns <= window)].tolist():
-        # one row: the unordered pairs m >= n with |m|, |n + m| <= window (none once 2n > window)
-        lo, hi = max(n, -window - n), window - max(n, 0)
-        ms, sums = slice(lo + window, hi + window + 1), slice(n + lo + window, n + hi + window + 1)
-        a, la = vals[n + window], logs[n + window]
-        b, lb, c, lc = vals[ms], logs[ms], vals[sums], logs[sums]
+    # the unordered pairs m >= n with |m|, |n + m| <= window, a block of rows n at a time
+    rows = ns[inside & (2 * ns <= window)]
+    per = max(1, AXIOM_BLOCK // len(ns))
+    for start in range(0, len(rows), per):
+        block = rows[start:start + per, None]  # n down, m = ns across
+        at = np.clip(block + ns + window, 0, 2 * window)  # index of n + m
+        pair = (ns >= block) & (np.abs(block + ns) <= window) & inside & inside[at]
+        a, la, c, lc = vals[block + window], logs[block + window], vals[at], logs[at]
         # a log of -inf drops the sign of a value <= 0: such pairs compare values
-        over = np.where((a > 0) & (b > 0) & (c > 0), lc > la + lb + slack,
-                        c > a * b * (1.0 + SUBMULT_TOL))
-        for j in np.flatnonzero(over & inside[ms] & inside[sums]).tolist():
-            m, lhs, rhs = lo + j, float(c[j]), float(a * b[j])
+        over = np.where((a > 0) & (vals > 0) & (c > 0), lc > la + logs + slack,
+                        c > a * vals * (1.0 + SUBMULT_TOL))
+        for i, j in zip(*np.nonzero(over & pair)):
+            n, m, lhs, rhs = int(block[i, 0]), int(ns[j]), float(c[i, j]), float(a[i, 0] * vals[j])
             violations.append((n, m, f"w({n}+{m}) = {lhs} > w({n})w({m}) = {rhs}"))
     return WeightReport(axioms_ok=not violations, violations=tuple(violations))
 

@@ -100,10 +100,8 @@ def test_criterion_3_difference_calculus():
     for p in corpus:
         x = tuple(int(v) for v in rng.integers(-3, 4, p.dim))
         y = tuple(int(v) for v in rng.integers(-3, 4, p.dim))
-        for m in range(9):
-            lhs, rhs = newton_expand(p, x, y, m)
-            if lhs != rhs:
-                expansion_bad += 1
+        lhs, rhs = newton_expand(p, x, y, 8)
+        expansion_bad += sum(a != b for a, b in zip(lhs, rhs))
 
     degree_bad = 0
     for p in corpus:

@@ -74,8 +74,24 @@ class TestSeq:
     def test_overflowing_norm_is_an_input_error(self, tmp_path, capsys):
         seq = write(tmp_path, "f.json", {"entries": [[0, 1, 0], [2000, 1, 0]]})
         w = write(tmp_path, "w.json", {"kind": "exponential", "base": 2})
-        code, out = run(capsys, "seq", "norm", "--seq", seq, "--weight", w)
-        assert (code, out) == (1, "")
+        code = main(["seq", "norm", "--seq", seq, "--weight", w])  # the weight overflows
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "overflows the float range" in captured.err
+        seq = write(tmp_path, "g.json", {"entries": [[0, 1e308, 0], [5, 1e308, 0]]})
+        w = write(tmp_path, "v.json", {"kind": "power", "a": 2})
+        code = main(["seq", "norm", "--seq", seq, "--weight", w])  # finite weights, the sum overflows
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: the weighted norm overflows the float range\n"
+
+    def test_overflowing_convolution_is_an_input_error(self, tmp_path, capsys):
+        # 1e200 * 1e200 is inf, which the zero rule relative to it would prune
+        seq = write(tmp_path, "f.json", {"entries": [[0, 1e200, 0], [1, 1e200, 0]]})
+        code = main(["seq", "convolve", "--seq", seq, "--with", seq])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "overflows the float range" in captured.err
 
     def test_ft_csv(self, tmp_path, capsys):
         seq = write(tmp_path, "f.json", {"entries": [[-1, 2, 0], [1, -0.5, 0]]})
@@ -418,6 +434,75 @@ class TestErrorPaths:
                     {"entries": [[-5, 1, 0], [5, 1, 0]]})
         code, _ = run(capsys, "spectrum", "--signal", sig, "--gens", gen)
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(indent=2, allow_nan=False), byte for byte
+
+numbers = st.one_of(
+    st.integers(), st.integers(2 ** 63 - 2, 2 ** 70), st.integers(-(2 ** 70), -(2 ** 63) + 2),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+scalars = st.one_of(numbers, st.booleans(), st.none(),
+                    st.text(st.sampled_from(list(',[]{}"\\: \n\tab\u00e9\u2603\U0001f600\x00'))),
+                    st.text())
+rows = st.lists(st.lists(st.one_of(numbers, st.booleans()), max_size=4), max_size=5)
+json_values = st.recursive(
+    st.one_of(scalars, rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(), st.booleans(), st.none(),
+                                  st.floats(allow_nan=False, allow_infinity=False)), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_equals_the_indented_json_writer(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.one_of(numbers, st.booleans()), min_size=1, max_size=4), min_size=1, max_size=6),
+           st.integers(0, 3))
+    def test_number_rows_at_any_depth(self, obj, depth):
+        for _ in range(depth):
+            obj = {"k": [obj, 1]}
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [[1]], [[1], []], [[], [1]], [[1, [2]]], [[1, 2], "a"], [[1, None]],
+        [[True, 1], [False, 2.5]], [[2 ** 64, -0.0], [5e-324, 1e308]], {"k": [[1, 2], [3]]},
+        [{"a": [[1]]}, [[2]]], ([1, 2], (3, 4)), {1: 1, 2.5: 2, True: 3, None: 4, "é": "[,]"},
+    ])
+    def test_edge_cases(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("obj", [
+        [[1.0, float("inf")]], [float("nan")], {"a": [[float("-inf"), 2]]}, {float("nan"): 1},
+        {"rows": [[1, 2], [3, np.float64("nan")]]},
+    ])
+    def test_non_finite_numbers_are_refused(self, obj):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._dumps(obj)
+
+    def test_unserialisable_objects_are_refused_as_json_refuses_them(self):
+        for obj in ([[np.int64(1)]], {"a": object()}, {(1, 2): 3}):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2)
+            with pytest.raises(TypeError):
+                cli._dumps(obj)
+
+    def test_non_finite_output_exits_1_with_nothing_on_stdout(self, tmp_path, capsys, monkeypatch):
+        seq = write(tmp_path, "f.json", {"entries": [[0, 1, 0]]})
+        monkeypatch.setattr(cli, "fourier_grid", lambda f, n: (np.arange(2.0), np.array([1, np.nan + 0j])))
+        code = main(["seq", "ft", "--seq", seq, "--grid", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "not JSON compliant" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from beurling.diff_calculus import (
     probe_directions,
     witness_grid,
 )
+from beurling import diff_calculus as dc
 from beurling.errors import WindowError
 from beurling.verify import random_lattice_poly
 
@@ -290,23 +292,34 @@ class TestClosedFormParity:
         assert degree_with_witness(q, tol=0) == (150, (1,))
 
 
+def newton_expand_at(phi, x, y, m):
+    """Both sides at one m, as newton_expand computed them one call per m:
+    its own evaluations phi(x + i y), i <= min(m, degree), for the right side."""
+    lhs = phi.evaluate(tuple(a + m * b for a, b in zip(x, y)))
+    row = [phi.evaluate(tuple(a + i * b for a, b in zip(x, y))) for i in range(min(m, phi.total_degree()) + 1)]
+    rhs = 0
+    for j in range(len(row)):
+        rhs = rhs + math.comb(m, j) * row[0]
+        row = [b - a for a, b in zip(row, row[1:])]
+    return lhs, rhs
+
+
 class TestNewtonExpand:
     def test_square_example(self):
-        lhs, rhs = newton_expand(poly_1d(0, 0, 1), (0,), (1,), 3)
-        assert lhs == rhs == 9
+        assert newton_expand(poly_1d(0, 0, 1), (0,), (1,), 3) == ((0, 1, 4, 9), (0, 1, 4, 9))
 
     def test_m_zero(self):
         p = poly_1d(2, -1, 4)
         lhs, rhs = newton_expand(p, (5,), (3,), 0)
-        assert lhs == rhs == p.evaluate((5,))
+        assert lhs == rhs == (p.evaluate((5,)),)
 
     def test_linear(self):
         lhs, rhs = newton_expand(poly_1d(0, 1), (2,), (3,), 4)
-        assert lhs == rhs == 14
+        assert lhs == rhs == (2, 5, 8, 11, 14)
 
     def test_right_side_stops_at_the_degree(self):
-        # summed to m, the right side matches any function; stopping at the
-        # claimed degree 1 it must miss 2^n
+        # summed to k, the right side matches any function; stopping at the
+        # claimed degree 1 it must miss 2^n from k = 2 on
         class Claimed:
             dim = 1
 
@@ -316,7 +329,7 @@ class TestNewtonExpand:
             def evaluate(self, point):
                 return 2 ** point[0]
 
-        assert newton_expand(Claimed(), (0,), (1,), 3) == (8, 1 + 3 * 1)
+        assert newton_expand(Claimed(), (0,), (1,), 3) == ((1, 2, 4, 8), (1, 2, 3, 4))
 
     def test_random_exact(self):
         rng = np.random.default_rng(7)
@@ -324,9 +337,43 @@ class TestNewtonExpand:
             p = random_lattice_poly(rng, max_dim=3, max_degree=5)
             x = tuple(int(v) for v in rng.integers(-3, 4, p.dim))
             y = tuple(int(v) for v in rng.integers(-3, 4, p.dim))
-            for m in range(9):
-                lhs, rhs = newton_expand(p, x, y, m)
-                assert lhs == rhs
+            lhs, rhs = newton_expand(p, x, y, 8)
+            assert len(lhs) == len(rhs) == 9 and lhs == rhs
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_k_matches_a_call_at_that_m(self, seed):
+        # complex coefficients too: the same sums in the same order, so the
+        # same floats, not just close ones
+        rng = np.random.default_rng(seed)
+        for i in range(40):
+            p = random_lattice_poly(rng) if i % 2 else complex_variant(rng, negligible_top=False)
+            xy = rng.integers(-3, 4, 2 * p.dim).tolist()
+            x, y = xy[:p.dim], xy[p.dim:]
+            lhs, rhs = newton_expand(p, x, y, 8)
+            assert list(zip(lhs, rhs)) == [newton_expand_at(p, x, y, m) for m in range(9)]
+
+    def test_zero_polynomial_and_negative_m(self):
+        assert newton_expand(LatticePoly(2, {}), (1, 2), (3, 4), 2) == ((0, 0, 0), (0, 0, 0))
+        with pytest.raises(ValueError, match="m must be"):
+            newton_expand(poly_1d(1), (0,), (1,), -1)
+
+
+class TestRandomLatticePoly:
+    def test_draw_stream_is_pinned(self):
+        # the verify scenarios and the parity tests above are seeded through
+        # this stream: a change of draws would change what they check
+        rng = np.random.default_rng(0)
+        got = [(p.dim, dict(p.coeffs)) for p in (random_lattice_poly(rng) for _ in range(5))]
+        assert got == [
+            (3, {(0, 0, 3): 2, (1, 1, 0): -5, (2, 1, 0): 3}),
+            (3, {(0, 0, 0): 4}),
+            (3, {(0, 1, 2): -1, (0, 1, 4): 1}),
+            (3, {(1, 1, 1): 5}),
+            (1, {(0,): 5, (1,): -2, (2,): 4, (3,): 3}),
+        ]
+        assert all(type(a) is int and type(c) is int
+                   for p in (random_lattice_poly(rng) for _ in range(50))
+                   for alpha, c in p.coeffs for a in alpha)
 
 
 class TestDomarDegree:
@@ -386,6 +433,68 @@ class TestDomarDegree:
             probes = [(tuple(int(v) for v in rng.integers(-3, 4, p.dim)), y)
                       for _, y in default_probes(p)]
             assert domar_degree(p, probes) == sampling_domar_degree(p, probes), p
+
+
+class TestLineBound:
+    """Off the origin each probe line is bounded before it is expanded; the
+    bound may only skip lines that the exact zero rule would also reject."""
+
+    def test_far_off_origin_lines_are_not_expanded(self):
+        # 401 probe lines of degree 400 against a 10^2000 constant: about
+        # 3 s when every line was expanded
+        p = LatticePoly(1, {(400,): 1, (0,): 10 ** 2000})
+        for x in (1, 2, -3):
+            start = time.perf_counter()
+            assert domar_degree(p, [((x,), y) for _, y in default_probes(p)]) == 0
+            assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("rel", [-1e-3, -1e-6, 1e-6, 1e-3])
+    def test_bound_meets_the_bar(self, rel):
+        # along (1) + t (1), x^10 has 10! |q_10| = 10!, the bound itself: the
+        # answer turns on 10! against 1e-9 C, a relative 1e-6 either side
+        c = round(math.factorial(10) * 10 ** 9 * (1 + rel))
+        p = LatticePoly(1, {(10,): 1, (0,): c})
+        assert domar_degree(p, [((1,), (1,))]) == (10 if rel < 0 else 0)
+
+    def test_binomial_rows_are_exact(self):
+        for x, y, e in [(1, 1, 0), (2, 3, 5), (-3, 7, 12), (5, -2, 40), (-1, -1, 33)]:
+            assert dc._binomial_row(x, y, e) == [math.comb(e, k) * x ** (e - k) * y ** k for k in range(e + 1)]
+
+    def test_skipping_keeps_every_degree(self, monkeypatch):
+        # coefficients over 60 decades, so some lines are skipped and some
+        # sit near the bar; the answers with and without the bound agree
+        rng = np.random.default_rng(30)
+        cases = []
+        for _ in range(60):
+            dim = int(rng.integers(1, 3))
+            coeffs = {(0,) * dim: 10 ** int(rng.integers(0, 60))}
+            for _ in range(int(rng.integers(1, 4))):
+                alpha = tuple(rng.multinomial(int(rng.integers(1, 30)), [1 / dim] * dim).tolist())
+                coeffs[alpha] = complex(rng.normal(), rng.normal()) * 10.0 ** int(rng.integers(-20, 5))
+            p = LatticePoly(dim, coeffs)
+            probes = [(tuple(rng.integers(-4, 5, dim).tolist()), y) for _, y in default_probes(p)[:40]]
+            cases.append((p, probes))
+
+        skipped = []
+        bound = dc._line_bound
+
+        def counted(*args):
+            test = bound(*args)
+            if test is None:
+                return None
+
+            def recorded(*probe):
+                skipped.append(test(*probe))
+                return skipped[-1]
+
+            return recorded
+
+        monkeypatch.setattr(dc, "_line_bound", counted)
+        fast = [domar_degree(p, probes) for p, probes in cases]
+        monkeypatch.setattr(dc, "_line_bound", lambda *args: None)
+        assert fast == [domar_degree(p, probes) for p, probes in cases]
+        assert 100 < sum(skipped) < len(skipped)  # both outcomes were exercised
+        assert len(set(fast)) > 3
 
 
 class TestDifferenceChain:

@@ -215,6 +215,23 @@ class TestOverflow:
             with pytest.raises(NumericOverflowError):  # offsets 0 and 8 fold onto one point
                 fourier_grid(FinSeq({0: 1e308, 8: 1e308}), 8)
 
+    @pytest.mark.parametrize("f, g", [
+        (FinSeq({0: 1e200, 1: 1e200}), FinSeq({0: 1e200, 1: 1e200})),  # dense
+        (FinSeq({0: 1e200, 10 ** 6: 1e200}), FinSeq({0: 1e200, 7: 1j * 1e200})),  # sparse and wide
+    ])
+    def test_convolution_overflow_is_an_overflow_error(self, f, g):
+        # the zero rule relative to an inf modulus pruned every entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="overflows the float range"):
+                convolve(f, g)
+
+    def test_sum_past_the_float_range_is_an_overflow_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError, match="overflows the float range"):
+                FinSeq({0: 1e308, 3: 1}) + FinSeq({0: 1e308})
+
     def test_vanishing_order_overflow_is_an_overflow_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

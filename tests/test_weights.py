@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beurling import weights
 from beurling.errors import WindowError
 from beurling.signals import ExpPoly, Geometric, eval_signal_range, sample_signal
 from beurling.weights import (
@@ -242,6 +243,23 @@ class TestParityWithScalarReference:
         report = check_weight_axioms(w, window)
         assert list(report.violations) == ref_axioms(w, window)
         assert report.axioms_ok == (not report.violations)
+
+    @pytest.mark.parametrize("name", ["power-2.1", "exp-3", "table-below-1", "table-nan", "table-x-exp"])
+    @pytest.mark.parametrize("block", [1, 200, 1000])  # one row per block, 3 rows, 16 rows
+    def test_axiom_blocks_split_anywhere(self, monkeypatch, name, block):
+        monkeypatch.setattr(weights, "AXIOM_BLOCK", block)
+        w = CORPUS[name]
+        assert list(check_weight_axioms(w, self.WINDOW).violations) == ref_axioms(w, self.WINDOW)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 40, 150, 300])
+    def test_axiom_violations_on_wide_windows(self, window):
+        table = TableWeight(300, np.random.default_rng(4).uniform(0.8, 3.0, 301))
+        found = []
+        for w in (table, ProductWeight(PowerWeight(0.5), table), PowerWeight(1.7), ExponentialWeight(1.2)):
+            report = check_weight_axioms(w, window)
+            assert list(report.violations) == ref_axioms(w, window)
+            found.append(len(report.violations) > 0)
+        assert found == [window >= 3, window >= 40, False, False]
 
     @pytest.mark.parametrize("name", CORPUS)
     @pytest.mark.parametrize("x", [1, -2])
