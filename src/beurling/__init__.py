@@ -19,6 +19,7 @@ from .seq_algebra import (
     ANGULAR_TOL,
     CirclePoint,
     FinSeq,
+    angles_within,
     circle_distance,
     convolve,
     delta,
@@ -41,14 +42,12 @@ from .signals import (
     add_signals,
     constant_signal,
     difference_signal,
-    eval_signal,
     eval_signal_range,
     modulate_signal,
     sample_signal,
     scale_signal,
     signal_is_zero,
     translate_signal,
-    weighted_sup,
 )
 from .weights import (
     ConvergenceVerdict,
@@ -106,7 +105,6 @@ from .finite_oracle import (
     dft,
     idft,
     law_suite_finite,
-    random_cyclic_signal,
     spectrum_finite,
 )
 from .integration import (

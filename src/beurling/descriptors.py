@@ -32,6 +32,10 @@ from .weights import (
     WeightSpec,
 )
 
+#: Largest signal-derived supWindow S: each of the three windows of 2S + 1
+#: samples it evaluates at a time takes about 32 MB at this cap.
+MAX_SUP_WINDOW = 10 ** 6
+
 
 def _complex_pair(value: complex) -> list[float]:
     value = complex(value)
@@ -51,6 +55,13 @@ def _number(data: Any, where: str) -> float:
         return float(data)
     except OverflowError as exc:  # an integer past the float range
         raise DescriptorError(str(exc), where) from exc
+
+
+def _integer(data: Any, where: str) -> int:
+    """A JSON integer: not a float such as 2.9 or 2.0, a string, or a boolean."""
+    if not isinstance(data, int) or isinstance(data, bool):
+        raise DescriptorError(f"expected a JSON integer, got {type(data).__name__}", where)
+    return data
 
 
 def _parse_complex(data: Any, where: str) -> complex:
@@ -100,7 +111,7 @@ def weight_from_json(data: Any, where: str = "$") -> WeightSpec:
             values = _require(data, "values", where)
             if not isinstance(values, list):
                 raise DescriptorError("values must be a list", f"{where}.values")
-            return TableWeight(int(_require(data, "halfWindow", where)),
+            return TableWeight(_integer(_require(data, "halfWindow", where), f"{where}.halfWindow"),
                                [_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)])
         if kind == "product":
             return ProductWeight(
@@ -108,10 +119,12 @@ def weight_from_json(data: Any, where: str = "$") -> WeightSpec:
                 weight_from_json(_require(data, "right", where), f"{where}.right"),
             )
         if kind == "signalDerived":
+            sup_window = _integer(_require(data, "supWindow", where), f"{where}.supWindow")
+            if sup_window > MAX_SUP_WINDOW:
+                raise DescriptorError(f"supWindow {sup_window} is above {MAX_SUP_WINDOW}",
+                                      f"{where}.supWindow")
             return SignalDerivedWeight(
-                signal_from_json(_require(data, "signal", where), f"{where}.signal"),
-                int(_require(data, "supWindow", where)),
-            )
+                signal_from_json(_require(data, "signal", where), f"{where}.signal"), sup_window)
     except DescriptorError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -175,7 +188,7 @@ def signal_from_json(data: Any, where: str = "$") -> Signal:
             if not isinstance(values, list) or not values:
                 raise DescriptorError("values must be a non-empty list",
                                       f"{where}.values")
-            return TableSignal(int(_require(data, "start", where)),
+            return TableSignal(_integer(_require(data, "start", where), f"{where}.start"),
                                [_parse_complex(v, f"{where}.values[{i}]")
                                 for i, v in enumerate(values)])
         if kind == "cumsum":
@@ -206,9 +219,7 @@ def finseq_from_json(data: Any, where: str = "$") -> FinSeq:
         if not isinstance(row, list) or len(row) != 3:
             raise DescriptorError("expected [n, re, im]", spot)
         n, re, im = row
-        if not isinstance(n, int):
-            raise DescriptorError("offset must be an integer", spot)
-        out[n] = _parse_complex([re, im], spot)
+        out[_integer(n, f"{spot}[0]")] = _parse_complex([re, im], spot)
     return FinSeq(out)
 
 
@@ -227,7 +238,7 @@ def latticepoly_to_json(p) -> dict:
 def latticepoly_from_json(data: Any, where: str = "$"):
     from .diff_calculus import LatticePoly
 
-    dim = _require(data, "dim", where)
+    dim = _integer(_require(data, "dim", where), f"{where}.dim")
     coeffs = _require(data, "coeffs", where)
     if not isinstance(coeffs, list):
         raise DescriptorError("coeffs must be a list", f"{where}.coeffs")
@@ -239,9 +250,10 @@ def latticepoly_from_json(data: Any, where: str = "$"):
         alpha, re, im = row
         if not isinstance(alpha, list):
             raise DescriptorError("multi-index must be a list", spot)
-        out[tuple(int(a) for a in alpha)] = _parse_complex([re, im], spot)
+        alpha = tuple(_integer(a, f"{spot}[0][{j}]") for j, a in enumerate(alpha))
+        out[alpha] = _parse_complex([re, im], spot)
     try:
-        return LatticePoly(int(dim), out)
+        return LatticePoly(dim, out)
     except (TypeError, ValueError) as exc:
         raise DescriptorError(str(exc), where) from exc
 
@@ -279,7 +291,7 @@ def spectrum_from_json(data: Any, where: str = "$") -> SpectrumResult:
     parsed = tuple(
         SpectrumPoint(CirclePoint(_number(_require(p, "t", f"{where}.points[{i}]"),
                                           f"{where}.points[{i}].t")),
-                      int(p.get("mult", 1)))
+                      _integer(p.get("mult", 1), f"{where}.points[{i}].mult"))
         for i, p in enumerate(points)
     )
     if verdict == "empty":
@@ -290,7 +302,8 @@ def spectrum_from_json(data: Any, where: str = "$") -> SpectrumResult:
             min_transform_modulus=_number(_require(cert, "minTransformModulus",
                                                    f"{where}.certificate"),
                                           f"{where}.certificate.minTransformModulus"),
-            grid=int(_require(cert, "grid", f"{where}.certificate")),
+            grid=_integer(_require(cert, "grid", f"{where}.certificate"),
+                          f"{where}.certificate.grid"),
         ))
     if verdict == "finite":
         return Finite(parsed)

@@ -17,6 +17,7 @@ there the rule is the difference criterion; sampled grids are differenced.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,9 +61,6 @@ class LatticePoly:
         object.__setattr__(
             self, "coeffs", tuple(sorted((a, c) for a, c in store.items() if c != 0))
         )
-
-    def coeff_map(self) -> dict[Vector, complex]:
-        return dict(self.coeffs)
 
     def total_degree(self) -> int:
         """Max |alpha| over non-zero coefficients; -1 for the zero polynomial."""
@@ -132,16 +130,9 @@ def probe_directions(dim: int) -> list[Vector]:
     """Standard basis plus all sign vectors: cheap early witnesses."""
     if dim >= MAX_PROBES.bit_length():
         raise ValueError(f"2^{dim} sign directions are above {MAX_PROBES}")
-    dirs = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    signs: list[Vector] = [()]
-    for _ in range(dim):
-        signs = [s + (e,) for s in signs for e in (1, -1)]
-    seen = set(dirs)
-    for s in signs:
-        if s not in seen:
-            dirs.append(s)
-            seen.add(s)
-    return dirs
+    basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    seen = set(basis)
+    return basis + [s for s in itertools.product((1, -1), repeat=dim) if s not in seen]
 
 
 def witness_grid(dim: int, bound: int) -> list[Vector]:
@@ -149,10 +140,7 @@ def witness_grid(dim: int, bound: int) -> list[Vector]:
     <= bound cannot vanish on it, so it certifies degree decisions."""
     if dim >= MAX_PROBES.bit_length() or (bound + 1) ** dim > MAX_PROBES:
         raise ValueError(f"the witness grid's {bound + 1}^{dim} points are above {MAX_PROBES}")
-    pts: list[Vector] = [()]
-    for _ in range(dim):
-        pts = [p + (v,) for p in pts for v in range(1, bound + 2)]
-    return pts
+    return list(itertools.product(range(1, bound + 2), repeat=dim))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +266,7 @@ def _restriction_degree(
     return best, witness
 
 
-def degree_with_witness(
-    phi: Lattice, window: Optional[int] = None, tol: float = _TOL
-) -> tuple[Optional[int], Optional[Vector]]:
+def degree_with_witness(phi: Lattice, tol: float = _TOL) -> tuple[Optional[int], Optional[Vector]]:
     """Degree by the difference criterion plus a witness direction.
 
     For a lattice polynomial with homogeneous parts p_d this is the largest
@@ -305,7 +291,7 @@ def degree_with_witness(
     zero = tol * (1.0 + float(np.max(np.abs(phi.values))))
     if phi.is_zero(zero):
         return -1, None
-    cap = (min(phi.extents) - 1) if window is None else min(window, min(phi.extents) - 1)
+    cap = min(phi.extents) - 1
     if cap < 1:
         raise WindowError("grid window too small to take any difference")
 
@@ -325,10 +311,10 @@ def degree_with_witness(
     return best_order - 1, witness
 
 
-def degree(phi: Lattice, window: Optional[int] = None, tol: float = _TOL) -> Optional[int]:
+def degree(phi: Lattice, tol: float = _TOL) -> Optional[int]:
     """Smallest n with all probed (n+1)-fold differences zero (see
     ``degree_with_witness``); None means "not polynomial on this window"."""
-    n, _ = degree_with_witness(phi, window, tol)
+    n, _ = degree_with_witness(phi, tol)
     return n
 
 

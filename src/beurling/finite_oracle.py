@@ -150,13 +150,6 @@ def _random_transform(rng: np.random.Generator, shape, zero_prob: float) -> np.n
     return np.where(rng.random(shape) < zero_prob, 0.0, _polar(rng, shape))
 
 
-def random_cyclic_signal(q: int, rng: np.random.Generator, zero_prob: float = 0.5) -> CyclicSignal:
-    """Signal drawn through its transform: each DFT coefficient is 0 with
-    probability ``zero_prob``, otherwise has magnitude in [0.5, 2] and a
-    uniform phase.  Support decisions are unambiguous by construction."""
-    return idft(_random_transform(rng, q, zero_prob))
-
-
 #: One law checked on a block: its letter, which rows pass, and the detail
 #: text for a failing row.
 _Law = tuple[str, np.ndarray, Callable[[int], str]]
@@ -250,10 +243,3 @@ def law_suite_finite(q: int, trials: int, seed: int) -> LawSuiteReport:
     return LawSuiteReport(q=q, trials=trials, seed=seed, checks=checks,
                           failures=tuple(failures))
 
-
-def parseval_gap(phi: CyclicSignal) -> float:
-    """Relative gap in sum |phi|^2 = (1/q) sum |hat phi|^2 (a dft sanity check)."""
-    lhs = float(np.sum(np.abs(phi.array()) ** 2))
-    rhs = float(np.sum(np.abs(dft(phi)) ** 2)) / phi.q
-    denom = max(lhs, rhs, 1e-300)
-    return abs(lhs - rhs) / denom

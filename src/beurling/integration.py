@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import UnboundedSupportError
-from .seq_algebra import FinSeq
+from .seq_algebra import PRUNE_REL, FinSeq
 from .signals import CumSum, Signal, outward_chunks
 
 #: Two consecutive window sups within this relative distance count as
@@ -65,11 +65,12 @@ def cumulative_P(s: Signal) -> CumSum:
     return CumSum(s)
 
 
-def k_transform(f: FinSeq, iterations: int = 1, tol: float = 1e-12) -> FinSeq:
+def k_transform(f: FinSeq, iterations: int = 1) -> FinSeq:
     """Iterated running sum K f(n) = sum_{m <= n} f(m) on sequences.
 
     Each application stays finitely supported exactly when the current
-    transform vanishes at 0 (total mass zero); otherwise the running sum is
+    transform vanishes at 0 (total mass zero, by the sequence zero rule: at
+    most PRUNE_REL times sum |f(m)|); otherwise the running sum is
     eventually constant and non-zero, and the stage index is reported.
     """
     if iterations < 1:
@@ -79,7 +80,7 @@ def k_transform(f: FinSeq, iterations: int = 1, tol: float = 1e-12) -> FinSeq:
         if not cur:
             return cur
         mass = complex(np.sum(cur._v))  # the transform at 0, before any dense span
-        if abs(mass) > tol * cur.abs_sum():
+        if abs(mass) > PRUNE_REL * cur.abs_sum():
             raise UnboundedSupportError(
                 f"transform at 0 is {mass} at stage {stage}; the running sum "
                 "does not stay finitely supported",

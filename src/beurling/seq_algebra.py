@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -62,14 +62,20 @@ class CirclePoint:
             t = 0.0
         object.__setattr__(self, "t", t)
 
-    def close_to(self, other: "CirclePoint", tol: float = ANGULAR_TOL) -> bool:
-        return circle_distance(self.t, other.t) <= tol
+    def close_to(self, other: "CirclePoint") -> bool:
+        return circle_distance(self.t, other.t) <= ANGULAR_TOL
 
 
 def circle_distance(a: float, b: float) -> float:
     """Geodesic distance between angles a and b on the circle."""
     d = abs(a - b) % (2.0 * math.pi)
     return min(d, 2.0 * math.pi - d)
+
+
+def angles_within(a: Iterable[float], b: Collection[float], tol: float = ANGULAR_TOL) -> bool:
+    """Whether every angle of a lies within tol of some angle of b on the
+    circle (true for an empty a, false for a non-empty a and an empty b)."""
+    return all(any(circle_distance(t, u) <= tol for u in b) for t in a)
 
 
 class FinSeq:
@@ -250,9 +256,9 @@ def _coalesced(n: np.ndarray, v: np.ndarray) -> FinSeq:
     return FinSeq._of(n, v)
 
 
-def delta(n: int = 0, value: complex = 1.0) -> FinSeq:
+def delta(n: int = 0) -> FinSeq:
     """Kronecker sequence supported at ``n``."""
-    return FinSeq({n: value})
+    return FinSeq({n: 1.0})
 
 
 def convolve(f: FinSeq, g: FinSeq) -> FinSeq:

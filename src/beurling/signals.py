@@ -170,11 +170,6 @@ PHASE_BLOCK = 512
 CHUNK = 2 ** 14
 
 
-def eval_signal(s: Signal, n: int) -> complex:
-    """Exact evaluation of the signal at a single integer."""
-    return complex(eval_signal_range(s, n, n)[0])
-
-
 def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
     """Vectorised evaluation on the inclusive range [lo, hi].
 
@@ -279,16 +274,16 @@ def _exppoly_along(s: ExpPoly, sign: int, a: int, b: int) -> np.ndarray:
     return out
 
 
-def signal_is_zero(s: Signal, tol: float = 0.0) -> bool:
-    """Structural zero test (tables compare their samples against tol)."""
+def signal_is_zero(s: Signal) -> bool:
+    """Structural zero test: no terms, a zero scale, or all samples zero."""
     if isinstance(s, ExpPoly):
         return not s.terms
     if isinstance(s, Geometric):
-        return abs(s.scale) <= tol
+        return s.scale == 0
     if isinstance(s, TableSignal):
-        return bool(np.all(np.abs(s.values) <= tol))
+        return not s.values.any()
     if isinstance(s, CumSum):
-        return signal_is_zero(s.inner, tol)
+        return signal_is_zero(s.inner)
     raise TypeError(f"not a signal: {s!r}")
 
 
@@ -412,15 +407,7 @@ def sample_signal(s: Signal, lo: int, hi: int) -> TableSignal:
 
 
 # ---------------------------------------------------------------------------
-# weighted boundedness and annihilation
-
-
-def weighted_sup(s: Signal, w, window: int) -> float:
-    """max_{|n| <= window} |phi(n)| / w(n): empirical weighted-bounded check."""
-    from .weights import eval_weight  # local import breaks the module cycle
-
-    vals = np.abs(eval_signal_range(s, -window, window))
-    return float(np.max(vals / eval_weight(w, np.arange(-window, window + 1))))
+# annihilation
 
 
 @dataclass(frozen=True)

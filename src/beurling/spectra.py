@@ -48,6 +48,7 @@ from .seq_algebra import (
     ANGULAR_TOL,
     CirclePoint,
     FinSeq,
+    angles_within,
     circle_distance,
     convolve,
     delta,
@@ -83,6 +84,12 @@ HANKEL_NULL_REL = 1e-10
 #: from multiplicity 4 on at supports in the hundreds (see the README);
 #: genuinely distinct roots closer than this are outside the supported regime.
 ROOT_CLUSTER_RADIUS = 1e-3
+
+#: Transform grid on which an Empty certificate's minimum modulus is taken.
+CERTIFICATE_GRID = 4096
+
+#: Recovery refuses a least-squares system whose condition number exceeds this.
+COND_THRESHOLD = 1e10
 
 #: Degree up to which circle roots come from the whole polynomial's
 #: companion matrix, and the largest order of a local Taylor problem above
@@ -177,11 +184,6 @@ def result_points(result: SpectrumResult) -> tuple[SpectrumPoint, ...]:
 
 def angles_of(result: SpectrumResult) -> tuple[float, ...]:
     return tuple(p.angle.t for p in result_points(result))
-
-
-def _near_any(t: float, angles) -> bool:
-    """Whether t is within the global angular tolerance of some angle."""
-    return any(circle_distance(t, u) <= ANGULAR_TOL for u in angles)
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +395,12 @@ def polynomial_circle_roots(
     return _polish_on_circle(c, _cluster_roots(np.roots(c[::-1])), unimod_tol)
 
 
-def _empty_certificate(gens: Sequence[FinSeq], grid: int = 4096) -> EmptyCertificate:
+def _empty_certificate(gens: Sequence[FinSeq]) -> EmptyCertificate:
     combo = FinSeq()
     for f in gens:
         combo = combo + convolve(f, involution(f))
-    _, vals = fourier_grid(combo, grid)
-    return EmptyCertificate(
-        combination=combo,
-        min_transform_modulus=float(np.min(np.abs(vals))),
-        grid=grid,
-    )
+    _, vals = fourier_grid(combo, CERTIFICATE_GRID)
+    return EmptyCertificate(combo, float(np.min(np.abs(vals))), CERTIFICATE_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +447,14 @@ def _newton_reaches_zero(f: FinSeq, t: float, reach: float) -> bool:
     return abs(np.sum(terms)) <= reach * abs(np.sum(terms * rel))
 
 
-def hull_of_generators(
-    gens: Sequence[FinSeq],
-    tol: float = UNIMODULAR_TOL,
-    *,
-    certificate_grid: int = 4096,
-) -> SpectrumResult:
+def hull_of_generators(gens: Sequence[FinSeq]) -> SpectrumResult:
     """Common unit-circle zero set of the generators' transforms.
 
-    The shortest generator's roots within ``tol`` of the circle propose
-    angles t; each other generator must vanish at t or be one Newton step of
-    at most tol + ANGULAR_TOL from a zero.  The multiplicity is the least
-    vanishing order, at least 1.  Empty carries a positivity certificate.
+    The shortest generator's roots within UNIMODULAR_TOL of the circle
+    propose angles t; each other generator must vanish at t or be one Newton
+    step of at most UNIMODULAR_TOL + ANGULAR_TOL from a zero.  The
+    multiplicity is the least vanishing order, at least 1.  Empty carries a
+    positivity certificate.
     """
     gens = list(gens)
     if not gens:
@@ -469,14 +463,14 @@ def hull_of_generators(
         raise ValueError("zero generator is not allowed")
     shortest = min(gens, key=lambda f: f.support()[1] - f.support()[0])
     # with u = e^{-it} the transform is u^{min supp} times a polynomial in u
-    roots = polynomial_circle_roots(shortest._dense()[1], tol)
+    roots = polynomial_circle_roots(shortest._dense()[1])
     points = []
     for t in sorted((-cmath.phase(z)) % (2 * math.pi) for z, _ in roots):
         orders = [vanishing_order(f, t) for f in gens]
-        if all(m >= 1 or f is shortest or _newton_reaches_zero(f, t, tol + ANGULAR_TOL)
+        if all(m >= 1 or f is shortest or _newton_reaches_zero(f, t, UNIMODULAR_TOL + ANGULAR_TOL)
                for f, m in zip(gens, orders)):
             points.append(SpectrumPoint(CirclePoint(t), max(min(orders), 1)))
-    return Finite(tuple(points)) if points else Empty(_empty_certificate(gens, certificate_grid))
+    return Finite(tuple(points)) if points else Empty(_empty_certificate(gens))
 
 
 def spectrum_upper_bound(
@@ -510,9 +504,7 @@ def spectrum_upper_bound(
     return hull
 
 
-def classify_primary_ideal(
-    gens: Sequence[FinSeq], N: int, tol: float = 1e-9
-) -> IdealClass:
+def classify_primary_ideal(gens: Sequence[FinSeq], N: int) -> IdealClass:
     """Locate the closed ideal generated by ``gens`` in the derivative-
     vanishing chain at the unit character.
 
@@ -534,7 +526,7 @@ def classify_primary_ideal(
         raise NotPrimaryError(
             f"cospectrum is {angles}, not the unit character alone"
         )
-    order = min(vanishing_order(f, 0.0, tol) for f in gens)
+    order = min(vanishing_order(f, 0.0) for f in gens)
     k = order - 1
     if k > N:
         raise IdealSaturationError(
@@ -609,14 +601,8 @@ def _polish_frequencies(merged, ns, vals, build, iterations: int = 3):
     return list(zip((t % (2 * math.pi) for t in ts), mults))
 
 
-def decompose_finite_spectrum(
-    samples: TableSignal,
-    k_max: int,
-    n_max: int,
-    tol: float = 1e-8,
-    *,
-    cond_threshold: float = 1e10,
-) -> ExpPoly:
+def decompose_finite_spectrum(samples: TableSignal, k_max: int, n_max: int,
+                              tol: float = 1e-8) -> ExpPoly:
     """Recover an exponential polynomial from its samples.
 
     Fits the minimal linear recurrence annihilating the window (Hankel
@@ -683,10 +669,10 @@ def decompose_finite_spectrum(
 
     A, layout = build(merged)
     cond = float(np.linalg.cond(A))
-    if cond > cond_threshold:
+    if cond > COND_THRESHOLD:
         raise DecompositionError(
             f"recovery system condition {cond:.3e} above threshold "
-            f"{cond_threshold:.1e}"
+            f"{COND_THRESHOLD:.1e}"
         )
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     residual = float(np.max(np.abs(A @ coef - vals)))
@@ -757,8 +743,7 @@ def check_calculus_laws(
         ("b", scale_signal(s, k), f"scale by {k}"),
     ):
         got = angles_of(symbolic_spectrum(image))
-        ok = (len(got) == len(own) and all(_near_any(g, own) for g in got)
-              and all(_near_any(t, got) for t in own))
+        ok = len(got) == len(own) and angles_within(got, own) and angles_within(own, got)
         checks.append(LawCheck(law, ok, detail))
 
     try:
@@ -768,14 +753,14 @@ def check_calculus_laws(
     else:
         union_angles = own + angles_of(symbolic_spectrum(aux))
         got = angles_of(symbolic_spectrum(total))
-        ok = all(_near_any(g, union_angles) for g in got)
+        ok = angles_within(got, union_angles)
         checks.append(LawCheck("c", ok, "sum inside union"))
 
     if isinstance(s, ExpPoly):
         shifted = symbolic_spectrum(modulate_signal(s, gamma))
         expected = {(t + gamma.t) % (2 * math.pi) for t in own}
         got = set(angles_of(shifted))
-        ok = len(expected) == len(got) and all(_near_any(e, got) for e in expected)
+        ok = len(expected) == len(got) and angles_within(expected, got)
         checks.append(LawCheck("d", ok, f"modulate by {gamma.t}"))
     else:
         checks.append(LawCheck("d", None, "modulation not representable"))
@@ -785,7 +770,7 @@ def check_calculus_laws(
     except TypeError:
         checks.append(LawCheck("e", None, "difference not representable"))
     else:
-        ok = all(_near_any(g, own) for g in angles_of(symbolic_spectrum(diff)))
+        ok = angles_within(angles_of(symbolic_spectrum(diff)), own)
         checks.append(LawCheck("e", ok, f"difference by {y} shrinks"))
 
     sp_one = symbolic_spectrum(constant_signal(1.0))
@@ -795,11 +780,3 @@ def check_calculus_laws(
     checks.append(LawCheck("f", const_ok and zero_ok and input_ok, "constants"))
     return LawReport(tuple(checks))
 
-
-__all__ = [
-    "SpectrumPoint", "EmptyCertificate", "Empty", "Finite",
-    "UpperBound", "SpectrumResult", "IdealClass", "result_points", "angles_of",
-    "polynomial_circle_roots", "symbolic_spectrum", "spectrum_exppoly",
-    "hull_of_generators", "spectrum_upper_bound", "classify_primary_ideal",
-    "decompose_finite_spectrum", "LawCheck", "LawReport", "check_calculus_laws",
-]

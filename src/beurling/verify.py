@@ -21,6 +21,7 @@ from .integration import boundedness_probe, cumulative_P
 from .seq_algebra import (
     CirclePoint,
     FinSeq,
+    angles_within,
     circle_distance,
     delta,
     difference_seq,
@@ -377,9 +378,7 @@ def _suite_sqrt_frequencies_truncated(seed: int, trials: int) -> SuiteReport:
     rec = decompose_finite_spectrum(sample_signal(s, -40, 40), k_max=8, n_max=0,
                                     tol=1e-6)
     recovered = angles_of(spectrum_exppoly(rec))
-    ok = all(
-        any(circle_distance(t, u) <= 1e-6 for u in targets) for t in recovered
-    )
+    ok = angles_within(recovered, targets, 1e-6)
     rep.add(f"recovered frequencies sit among the {K} truncation targets",
             ok and len(recovered) == K,
             f"recovered {[round(t, 6) for t in recovered]}")

@@ -19,7 +19,7 @@ return holds / fails / inconclusive verdicts with their witness traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -30,6 +30,9 @@ from .signals import Signal, eval_signal_range
 #: Relative slack allowed in the submultiplicativity check: floating-point
 #: powers of reals are inexact.
 SUBMULT_TOL = 1e-9
+
+#: ``analyze_weight`` classifies growth on 0..GROWTH_WINDOW.
+GROWTH_WINDOW = 1000
 
 #: ``check_weight_axioms`` tests about this many pairs (n, m) at once, which
 #: bounds its working memory whatever the window.
@@ -119,27 +122,18 @@ def eval_weight(w: WeightSpec, n):
     """w(n) for an int or an integer array n, in value space: inf where a
     float overflows; WindowError where n lies past the window that defines w
     (a finite table, or a sampled signal too short for the shift)."""
-    return _within(w, n)[0]
-
-
-def log_eval_weight(w: WeightSpec, n):
-    """log w(n) as eval_weight takes it, without overflow: closed forms for
-    power, exponential and product weights, otherwise the log of the value,
-    -inf where w(n) <= 0 (an axiom violation the report surfaces)."""
-    return _within(w, n)[1]
-
-
-def _within(w: WeightSpec, n) -> tuple:
-    vals, logs, inside = _evaluate(w, n)
+    vals, _, inside = _evaluate(w, n)
     if not inside.all():
         raise WindowError(f"n = {np.ravel(n)[~inside][0]} lies past the window of the weight")
-    return vals.reshape(np.shape(n))[()], logs.reshape(np.shape(n))[()]
+    return vals.reshape(np.shape(n))[()]
 
 
 @_quiet
 def _evaluate(w: WeightSpec, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, log w, inside) at the flattened n, one dispatch for all of it;
-    past the window that defines w, inside is False and the values mean nothing."""
+    past the window that defines w, inside is False and the values mean nothing.
+    log w is closed-form for power, exponential and product weights, so it
+    does not overflow; elsewhere it is log of the value, -inf where w(n) <= 0."""
     k = np.abs(np.ravel(n))  # every weight is even; ints past int64 stay Python ints
     everywhere = np.ones(len(k), dtype=bool)
     if isinstance(w, PowerWeight):
@@ -261,6 +255,12 @@ def check_weight_axioms(w: WeightSpec, window: int) -> WeightReport:
 # convergence and growth probes
 
 
+def _slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares slopes of the rows of y against x (two distinct x at least)."""
+    dx = x - x.mean()
+    return y @ dx / (dx @ dx)
+
+
 def _trace(values: np.ndarray) -> tuple[tuple[int, float], ...]:
     """(m, values[m - 1]) at the checkpoints m = 1, 2, 4, ... and the last m."""
     M = len(values)
@@ -313,7 +313,7 @@ def check_beurling_domar(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
     # convergence: clear power-law decay with exponent safely above 1
     positive = tail_t > 0
     if positive.sum() >= 3:
-        slope = np.polyfit(np.log(tail_m[positive]), np.log(tail_t[positive]), 1)[0]
+        slope = _slopes(np.log(tail_m[positive]), np.log(tail_t[positive]))
         if slope <= -1.1 and terms[-1] <= 1e-3 * peak:
             return ConvergenceVerdict("holds", trace)
     return ConvergenceVerdict("inconclusive", trace)
@@ -371,15 +371,16 @@ def classify_growth(w: WeightSpec, n_max: int, window: int) -> Optional[GrowthCl
         return None
     log_m = np.log(ms[tail])
 
-    alphas = [0.5] + [a / 10 for a in range(1, 10) if a != 5]
+    alphas = np.array([0.5] + [a / 10 for a in range(1, 10) if a != 5])
     for N in range(n_max, -1, -1):
         lower = logs - np.log1p(ms ** N)
-        if not np.isfinite(lower[tail]).all() or np.polyfit(log_m, lower[tail], 1)[0] < -0.1:
+        if not np.isfinite(lower[tail]).all() or _slopes(log_m, lower[tail]) < -0.1:
             continue
-        for alpha in alphas:
+        uppers = logs[tail] - np.log1p(ms[tail] ** (N + alphas[:, None]))
+        fits = np.flatnonzero(~(_slopes(log_m, uppers) > 0.1))  # a nan slope fits
+        if len(fits):
+            alpha = float(alphas[fits[0]])
             upper = logs - np.log1p(ms ** (N + alpha))
-            if np.polyfit(log_m, upper[tail], 1)[0] > 0.1:
-                continue
             c1, c2 = np.exp(lower[full].min()), np.exp(upper[full].max())
             return GrowthClass(N=N, alpha=alpha, c1=float(c1), c2=float(c2))
     return None
@@ -392,16 +393,9 @@ def analyze_weight(
     orbit: int = 1,
     terms: int = 10_000,
     n_max: int = 3,
-    growth_window: int = 1000,
 ) -> WeightReport:
     """Full report: axioms on the window, Beurling-Domar probe along
-    ``orbit``, and the polynomial growth classification."""
-    base = check_weight_axioms(w, window)
-    bd = check_beurling_domar(w, orbit, terms)
-    growth = classify_growth(w, n_max, growth_window)
-    return WeightReport(
-        axioms_ok=base.axioms_ok,
-        violations=base.violations,
-        beurling_domar=bd,
-        growth=growth,
-    )
+    ``orbit``, and the polynomial growth classification on GROWTH_WINDOW."""
+    return replace(check_weight_axioms(w, window),
+                   beurling_domar=check_beurling_domar(w, orbit, terms),
+                   growth=classify_growth(w, n_max, GROWTH_WINDOW))

@@ -222,7 +222,7 @@ def test_criterion_7_oracle_root_consistency():
         coeffs = np.convolve(poly, noise)
         f = FinSeq({n: coeffs[n] for n in range(len(coeffs))})
 
-        hull = hull_of_generators([f], tol=1e-8)
+        hull = hull_of_generators([f])
         on_grid = set()
         for t in angles_of(hull):
             k = round(t * q / (2 * math.pi)) % q

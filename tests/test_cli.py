@@ -415,6 +415,37 @@ class TestErrorPaths:
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith(f"error: {key}: expected a")
 
+    @pytest.mark.parametrize("key, argv, payload", [
+        ("$.halfWindow", ["weight", "check", "--weight"], {"kind": "table", "halfWindow": "2", "values": [1, 1, 1]}),
+        ("$.halfWindow", ["weight", "check", "--weight"], {"kind": "table", "halfWindow": True, "values": [1, 1]}),
+        ("$.halfWindow", ["weight", "check", "--weight"], {"kind": "table", "halfWindow": 2.9, "values": [1, 1, 1]}),
+        ("$.supWindow", ["weight", "check", "--weight"],
+         {"kind": "signalDerived", "supWindow": 2.0, "signal": {"kind": "geometric", "ratio": 2}}),
+        ("$.signal.start", ["weight", "check", "--weight"],
+         {"kind": "signalDerived", "supWindow": 1, "signal": {"kind": "table", "start": "0", "values": [1]}}),
+        ("$.dim", ["degree", "--poly"], {"dim": "1", "coeffs": [[[2], 1, 0]]}),
+        ("$.coeffs[0][0][0]", ["degree", "--poly"], {"dim": 1, "coeffs": [[["2"], 1, 0]]}),
+        ("$.entries[1][0]", ["seq", "convolve", "--seq"], {"entries": [[0, 1, 0], [True, 1, 0]]}),
+    ])
+    def test_integer_positions_take_only_json_integers(self, tmp_path, capsys, key, argv, payload):
+        path = write(tmp_path, "in.json", payload)
+        if argv[:2] == ["seq", "convolve"]:
+            argv = [*argv, path, "--with"]
+        code = main([*argv, path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: {key}: expected a JSON integer")
+
+    @pytest.mark.parametrize("argv", [["seq", "norm"], ["weight", "check"]])
+    def test_sup_window_above_the_cap_is_input_error(self, tmp_path, capsys, argv):
+        w = write(tmp_path, "w.json", {"kind": "signalDerived", "supWindow": 10 ** 12,
+                                       "signal": {"kind": "geometric", "ratio": 2}})
+        seq = ["--seq", write(tmp_path, "f.json", {"entries": [[0, 1, 0]]})] if argv[0] == "seq" else []
+        code = main([*argv, *seq, "--weight", w])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: $.supWindow: supWindow 1000000000000 is above 1000000")
+
     @pytest.mark.parametrize("argv", [
         ["seq", "ft", "--grid", "8"], ["seq", "ft", "--grid", "8", "--csv"], ["seq", "order", "--t", "0"],
     ])

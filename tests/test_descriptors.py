@@ -125,6 +125,17 @@ class TestErrors:
         with pytest.raises(DescriptorError, match=where + ": expected a JSON number"):
             spectrum_from_json(data)
 
+    @pytest.mark.parametrize("where, data", [
+        (r"\$\.points\[0\]\.mult", {"verdict": "finite", "points": [{"t": 0.5, "mult": 1.5}]}),
+        (r"\$\.certificate\.grid",
+         {"verdict": "empty", "points": [],
+          "certificate": {"combination": {"entries": [[0, 1, 0]]},
+                          "minTransformModulus": 1.0, "grid": True}}),
+    ])
+    def test_spectrum_integers_must_be_json_integers(self, where, data):
+        with pytest.raises(DescriptorError, match=where + ": expected a JSON integer"):
+            spectrum_from_json(data)
+
     @pytest.mark.parametrize("value", [True, "1", [1, True], ["1", 0], None])
     def test_complex_values_must_be_json_numbers(self, value):
         with pytest.raises(DescriptorError, match=r"values\[0\]"):

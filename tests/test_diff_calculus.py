@@ -53,7 +53,7 @@ def shift(p, v):
 
 def difference(p, y):
     """D_y p = p(x + y) - p(x), symbolically."""
-    merged = shift(p, y).coeff_map()
+    merged = dict(shift(p, y).coeffs)
     for alpha, c in p.coeffs:
         merged[alpha] = merged.get(alpha, 0) - c
     return LatticePoly(p.dim, merged)
@@ -145,12 +145,12 @@ class TestLatticePoly:
     def test_shift_exact(self):
         p = poly_1d(0, 0, 1)  # n^2
         q = shift(p, (3,))  # (n+3)^2 = n^2 + 6n + 9
-        assert q.coeff_map() == {(0,): 9, (1,): 6, (2,): 1}
+        assert dict(q.coeffs) == {(0,): 9, (1,): 6, (2,): 1}
 
     def test_integer_arithmetic_stays_exact(self):
         p = LatticePoly(3, {(2, 1, 0): 7, (0, 0, 5): -3})
         q = shift(shift(p, (11, -4, 2)), (-11, 4, -2))
-        assert q.coeff_map() == p.coeff_map()
+        assert q.coeffs == p.coeffs
 
     def test_multi_index_validation(self):
         with pytest.raises(ValueError):
@@ -229,6 +229,15 @@ class TestDegree:
         for y in probe_directions(2):
             assert p.evaluate(tuple(4 * c for c in y)) == 0
         assert degree(p) == 4
+
+    def test_probe_order_is_pinned(self):
+        # the first probe attaining the degree is its witness, so the order is part of the result
+        assert probe_directions(1) == [(1,), (-1,)]
+        assert probe_directions(2) == [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+        assert probe_directions(3)[2:7] == [(0, 0, 1), (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
+        assert witness_grid(2, 1) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert witness_grid(3, 2)[:4] == [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1)]
+        assert witness_grid(3, 0) == [(1, 1, 1)] and witness_grid(0, 4) == [()]
 
     def test_probe_sets_in_use_fit_the_bound(self):
         assert len(witness_grid(3, 5)) == 6 ** 3 <= MAX_PROBES // 64

@@ -12,6 +12,7 @@ from beurling.seq_algebra import (
     DENSE_SPAN_RATIO,
     CirclePoint,
     FinSeq,
+    angles_within,
     circle_distance,
     convolve,
     delta,
@@ -302,6 +303,15 @@ class TestCirclePoint:
 
     def test_distance_wraps(self):
         assert circle_distance(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
+
+    def test_angles_within(self):
+        assert angles_within([], [1.0]) and angles_within([], [])
+        assert not angles_within([1.0], [])
+        # wrap-around at 0 = 2 pi, in both directions
+        assert angles_within([2 * math.pi - 1e-10], [0.0]) and angles_within([0.0], [2 * math.pi - 1e-10])
+        assert angles_within([0.5, 1.0], [1.0 + 1e-10, 0.5, 3.0])
+        assert not angles_within([0.5, 1.0], [0.5])
+        assert angles_within([0.1], [0.1 + 5e-7], 1e-6) and not angles_within([0.1], [0.1 + 5e-7])
 
     def test_close_to(self):
         assert CirclePoint(1.0).close_to(CirclePoint(1.0 + 1e-10))

@@ -19,7 +19,6 @@ from beurling.signals import (
     annihilate,
     constant_signal,
     difference_signal,
-    eval_signal,
     eval_signal_range,
     modulate_signal,
     outward_chunks,
@@ -27,9 +26,11 @@ from beurling.signals import (
     scale_signal,
     signal_is_zero,
     translate_signal,
-    weighted_sup,
 )
-from beurling.weights import ExponentialWeight, PowerWeight
+
+
+def eval_signal(s, n):  # one sample
+    return complex(eval_signal_range(s, n, n)[0])
 
 
 def linear():  # phi(n) = n
@@ -83,8 +84,7 @@ class TestConstruction:
         vals[0] = 7  # a fresh array, not a view of the table
         assert np.array_equal(t.values, [1, 2, 3, 4])
         assert np.array_equal(scale_signal(t, 2j).values, [2j, 4j, 6j, 8j])
-        assert signal_is_zero(scale_signal(t, 0)) and not signal_is_zero(t, tol=3.9)
-        assert signal_is_zero(t, tol=4.0)
+        assert signal_is_zero(scale_signal(t, 0)) and not signal_is_zero(t)
 
 
 class TestEval:
@@ -241,18 +241,6 @@ class TestDifference:
     def test_table_unsupported(self):
         with pytest.raises(TypeError):
             difference_signal(TableSignal(0, [1, 2]), 1)
-
-
-class TestWeightedSup:
-    def test_geometric_under_exponential_weight(self):
-        assert weighted_sup(Geometric(2), ExponentialWeight(2), 100) <= 1.0
-
-    def test_linear_under_power_weight(self):
-        val = weighted_sup(linear(), PowerWeight(1), 100)
-        assert val == pytest.approx(100 / 101)
-
-    def test_constant(self):
-        assert weighted_sup(constant_signal(3 + 4j), PowerWeight(0), 10) == pytest.approx(5.0)
 
 
 class TestAnnihilate:
