@@ -79,9 +79,13 @@ class LatticePoly:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSignal:
-    """Complex samples on the box prod_i [origin_i, origin_i + extent_i - 1]."""
+    """Complex samples on the box prod_i [origin_i, origin_i + extent_i - 1],
+    held as one read-only array.
+
+    Equal when the origins and every sample agree; the hash agrees with that.
+    """
 
     dim: int
     origin: Vector
@@ -89,16 +93,25 @@ class GridSignal:
     values: np.ndarray
 
     def __init__(self, origin: Sequence[int], values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
+        values = np.array(values, dtype=complex)  # a copy: callers keep theirs
         origin = tuple(int(o) for o in origin)
         if values.ndim != len(origin):
             raise ValueError("origin dimension does not match value array")
         if any(e <= 0 for e in values.shape):
             raise ValueError("extents must be positive")
+        values.flags.writeable = False
         object.__setattr__(self, "dim", values.ndim)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "extents", tuple(values.shape))
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridSignal):
+            return NotImplemented
+        return self.origin == other.origin and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.origin, self.extents, (self.values + 0.0).tobytes()))  # + 0.0 folds -0.0
 
     def is_zero(self, tol: float) -> bool:
         sup = float(np.max(np.abs(self.values))) if self.values.size else 0.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UnboundedSupportError
 from .seq_algebra import PRUNE_REL, FinSeq
-from .signals import CumSum, Signal, outward_chunks
+from .signals import MAX_PROBE_WINDOW, CumSum, Signal, outward_chunks
 
 #: Two consecutive window sups within this relative distance count as
 #: stabilized.
@@ -40,10 +40,6 @@ INCREMENT_DECAY = 1e-2
 #: k = 3), well under this; linear growth gives a factor of ten per decade
 #: and logarithmic growth about 1.3.
 SLOW_GROWTH_PER_DECADE = 5e-2
-
-#: Largest top window a probe accepts: 2 * 10^8 samples, about 7 s for
-#: the running sum of one character (the time grows with the terms).
-MAX_PROBE_WINDOW = 10 ** 8
 
 #: Increments growing by at least this factor flag superlinear growth in
 #: log-window.

@@ -169,6 +169,11 @@ PHASE_BLOCK = 512
 #: work and small enough that a probe to any radius needs a few MB.
 CHUNK = 2 ** 14
 
+#: Farthest |n| to which a running sum is streamed, and the largest top
+#: window the boundedness probe accepts: 2 * 10^8 samples, about 7 s for
+#: the running sum of one character (the time grows with the terms).
+MAX_PROBE_WINDOW = 10 ** 8
+
 
 def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
     """Vectorised evaluation on the inclusive range [lo, hi].
@@ -213,7 +218,8 @@ def outward_chunks(s: Signal, sign: int, start: int, stop: int) -> Iterator[np.n
     out the range reaches.  A ``CumSum`` streams its inner signal outward
     from 0 and carries the partial sum across chunks: it is the one place a
     running sum is taken, and it reads the inner signal on (0, m] going up
-    and on (-m, 0] going down, nowhere else.
+    and on (-m, 0] going down, nowhere else.  Past MAX_PROBE_WINDOW it is
+    a ValueError, raised before anything is summed.
     """
     if not isinstance(s, CumSum):
         while start < stop:
@@ -222,13 +228,17 @@ def outward_chunks(s: Signal, sign: int, start: int, stop: int) -> Iterator[np.n
                    else eval_signal_range(s, 1 - end, -start)[::-1])
             start = end
         return
+    if stop - 1 > MAX_PROBE_WINDOW:
+        raise ValueError(f"a running sum streamed to |n| = {stop - 1} exceeds "
+                         f"MAX_PROBE_WINDOW = {MAX_PROBE_WINDOW}")
     if start == 0 < stop:
         yield np.zeros(1, dtype=complex)  # the empty sum P phi(0)
     first = 1 if sign > 0 else 0
     m, total = 1, 0j  # the next piece starts at P phi(sign * m)
     for piece in outward_chunks(s.inner, sign, first, stop - 1 + first):
-        piece[0] += total  # adding the carry first keeps the sum sequential
-        np.cumsum(piece, out=piece)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the probe refuses it
+            piece[0] += total  # adding the carry first keeps the sum sequential
+            np.cumsum(piece, out=piece)
         total = piece[-1]
         if sign < 0:
             np.negative(piece, out=piece)
@@ -254,23 +264,24 @@ def _exppoly_along(s: ExpPoly, sign: int, a: int, b: int) -> np.ndarray:
     table = np.empty((rows, len(residues)), dtype=complex)
     phases = table.ravel()[r0 if rows > 1 else 0:][:b - a]
     ns = None
-    for term in s.terms:
-        t = sign * term.freq.t
-        block = np.exp(1j * (t * PHASE_BLOCK) * np.arange(q0, q0 + rows))
-        row = np.exp(1j * t * residues)
-        if term.degree() == 0:
-            np.multiply(row, term.coeffs[0] * block[:, None], out=table)
-            out += phases
-            continue
-        np.multiply(row, block[:, None], out=table)
-        if ns is None:
-            ns = sign * np.arange(a, b, dtype=float)
-        poly = np.full(b - a, term.coeffs[-1])
-        for c in term.coeffs[-2::-1]:  # Horner, in place
-            poly *= ns
-            poly += c
-        np.multiply(phases, poly, out=poly)
-        out += poly
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the probe refuses it
+        for term in s.terms:
+            t = sign * term.freq.t
+            block = np.exp(1j * (t * PHASE_BLOCK) * np.arange(q0, q0 + rows))
+            row = np.exp(1j * t * residues)
+            if term.degree() == 0:
+                np.multiply(row, term.coeffs[0] * block[:, None], out=table)
+                out += phases
+                continue
+            np.multiply(row, block[:, None], out=table)
+            if ns is None:
+                ns = sign * np.arange(a, b, dtype=float)
+            poly = np.full(b - a, term.coeffs[-1])
+            for c in term.coeffs[-2::-1]:  # Horner, in place
+                poly *= ns
+                poly += c
+            np.multiply(phases, poly, out=poly)
+            out += poly
     return out
 
 

@@ -552,16 +552,23 @@ def _minimal_recurrence(samples: np.ndarray, max_order: int) -> np.ndarray:
         if L - r < r + 1:
             break
         H = np.lib.stride_tricks.sliding_window_view(samples, r + 1)
-        svals = np.linalg.svd(H, compute_uv=False)
+        _, svals, vh = np.linalg.svd(H, full_matrices=False)
         if svals[-1] <= HANKEL_NULL_REL * svals[0]:
-            _, _, vh = np.linalg.svd(H)
             return vh[-1].conj()
     raise DecompositionError(
         f"no annihilating recurrence of order <= {max_order} fits the window"
     )
 
 
-def _polish_frequencies(merged, ns, vals, build, iterations: int = 3):
+def _design(ts, mults, ns: np.ndarray, sigma: float) -> np.ndarray:
+    """The columns (n/sigma)^j e^{i t_k n}, j < mults[k], term by term."""
+    chars = np.exp(1j * np.multiply.outer(ns, ts))
+    scaled = ns / sigma
+    return np.column_stack([scaled ** j * chars[:, k]
+                            for k, mult in enumerate(mults) for j in range(mult)])
+
+
+def _polish_frequencies(ts, mults, ns, vals, sigma) -> np.ndarray:
     """Variable-projection Gauss-Newton refinement of the frequencies.
 
     The derivative of the model in each frequency t_k is (i n) times that
@@ -570,21 +577,13 @@ def _polish_frequencies(merged, ns, vals, build, iterations: int = 3):
     design matrix (Kaufman's variant), after which convergence is
     quadratic.
     """
-    ts = [t for t, _ in merged]
-    mults = [m for _, m in merged]
-    for _ in range(iterations):
-        current = list(zip(ts, mults))
-        A, layout = build(current)
+    ts = np.array(ts, dtype=float)
+    starts = np.cumsum(mults) - mults  # the first column of each term
+    for _ in range(3):
+        A = _design(ts, mults, ns, sigma)
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
         r = vals - A @ coef
-        cols = []
-        for k in range(len(ts)):
-            part = np.zeros(len(ns), dtype=complex)
-            for col, (idx, _) in enumerate(layout):
-                if idx == k:
-                    part += coef[col] * A[:, col]
-            cols.append(1j * ns * part)
-        J = np.column_stack(cols)
+        J = 1j * ns[:, None] * np.add.reduceat(coef * A, starts, axis=1)  # (i n) term_k(n)
         q, _ = np.linalg.qr(A)
         J = J - q @ (q.conj().T @ J)
         G = np.real(J.conj().T @ J)
@@ -595,10 +594,10 @@ def _polish_frequencies(merged, ns, vals, build, iterations: int = 3):
             break
         if not np.all(np.isfinite(dt)) or np.max(np.abs(dt)) > 1e-3:
             break
-        ts = [t + float(d) for t, d in zip(ts, dt)]
+        ts = ts + dt
         if np.max(np.abs(dt)) < 1e-16:
             break
-    return list(zip((t % (2 * math.pi) for t in ts), mults))
+    return ts % (2 * math.pi)
 
 
 def decompose_finite_spectrum(samples: TableSignal, k_max: int, n_max: int,
@@ -637,62 +636,50 @@ def decompose_finite_spectrum(samples: TableSignal, k_max: int, n_max: int,
         )
 
     # angles with degree bounds; merge anything within the angular tolerance
-    merged: list[tuple[float, int]] = []
+    ts: list[float] = []
+    mults: list[int] = []
     for z, mult in sorted(roots, key=lambda rm: cmath.phase(rm[0]) % (2 * math.pi)):
         t = cmath.phase(z) % (2 * math.pi)
-        if merged and circle_distance(merged[-1][0], t) <= 10 * ANGULAR_TOL:
-            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
+        if ts and circle_distance(ts[-1], t) <= 10 * ANGULAR_TOL:
+            mults[-1] += mult
         else:
-            merged.append((t, mult))
-    if len(merged) > k_max or any(m - 1 > n_max for _, m in merged):
+            ts.append(t)
+            mults.append(mult)
+    if len(ts) > k_max or max(mults) - 1 > n_max:
         raise DecompositionError(
             "recovered structure exceeds the requested frequency or degree "
-            f"bounds: {[(t, m - 1) for t, m in merged]}"
+            f"bounds: {[(t, m - 1) for t, m in zip(ts, mults)]}"
         )
 
     ns = np.arange(samples.start, samples.end + 1)
     sigma = max(1.0, float(np.max(np.abs(ns))))
-
-    def build(ts):
-        columns, layout = [], []  # layout rows: (term index, power)
-        for idx, (t, mult) in enumerate(ts):
-            char = np.exp(1j * t * ns)
-            for j in range(mult):
-                columns.append((ns / sigma) ** j * char)
-                layout.append((idx, j))
-        return np.column_stack(columns), layout
-
     # The recurrence roots locate frequencies to ~1e-12; one or two
     # Gauss-Newton steps on the fit push them to machine precision, which
     # the n^2-scale samples need for a tiny residual.
-    merged = _polish_frequencies(merged, ns, vals, build)
+    ts = _polish_frequencies(ts, mults, ns, vals, sigma)
 
-    A, layout = build(merged)
-    cond = float(np.linalg.cond(A))
+    A = _design(ts, mults, ns, sigma)
+    coef, _, _, s = np.linalg.lstsq(A, vals, rcond=None)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
     if cond > COND_THRESHOLD:
         raise DecompositionError(
             f"recovery system condition {cond:.3e} above threshold "
             f"{COND_THRESHOLD:.1e}"
         )
-    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     residual = float(np.max(np.abs(A @ coef - vals)))
     if residual >= tol:
         raise DecompositionError(
             f"residual sup {residual:.3e} is not below tolerance {tol:.1e}"
         )
 
-    terms: list[tuple[CirclePoint, list[complex]]] = [
-        (CirclePoint(t), [0j] * mult) for t, mult in merged
-    ]
-    for (idx, j), c in zip(layout, coef):
-        terms[idx][1][j] = complex(c) / sigma ** j
     cleaned = []
-    for freq, coeffs in terms:
-        top = max(abs(c) for c in coeffs)
+    for t, c in zip(ts, np.split(coef, np.cumsum(mults)[:-1])):
+        coeffs = [complex(x) / sigma ** j for j, x in enumerate(c)]
+        top = max(abs(x) for x in coeffs)
         while coeffs and abs(coeffs[-1]) <= 1e-10 * top:
             coeffs.pop()
         if coeffs:
-            cleaned.append((freq, tuple(coeffs)))
+            cleaned.append((CirclePoint(t), tuple(coeffs)))
     return ExpPoly(cleaned)
 
 

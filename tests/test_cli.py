@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beurling import cli, verify
+from beurling import cli, signals, verify
 from beurling.cli import main
 from beurling.descriptors import signal_to_json, weight_to_json
 from beurling.finite_oracle import MAX_TRIALS
@@ -227,6 +227,22 @@ class TestIntegrate:
                             "--probe", "100,1000,10000")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("signal, expected", [
+        ({"kind": "expPoly", "terms": [{"t": 1, "coeffs": [[1e308, 1e308]]}]}, 0),
+        ({"kind": "expPoly", "terms": [{"t": 0.5, "coeffs": [1e308, 1e308, 1e308]}]}, 1),
+        ({"kind": "cumsum", "inner": {"kind": "expPoly", "terms": [{"t": 0, "coeffs": [1e308]}]}}, 1),
+    ])
+    def test_overflow_near_the_float_range_warns_nothing(self, tmp_path, capsys, signal, expected):
+        sig = write(tmp_path, "s.json", signal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape
+            code = main(["integrate", "--signal", sig])
+        captured = capsys.readouterr()
+        assert code == expected
+        assert "Warning" not in captured.err
+        if code:
+            assert captured.out == "" and "non-finite" in captured.err
+
     def test_probe_radius_is_bounded(self, tmp_path, capsys):
         sig = write(tmp_path, "s.json", {"kind": "table", "start": 0, "values": [[1, 0]]})
         code, out = run(capsys, "integrate", "--signal", sig,
@@ -292,6 +308,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: ") and str(MAX_TRIALS) in captured.err
+
+    def test_a_bug_inside_recovery_is_not_a_failed_round_trip(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(verify, "decompose_finite_spectrum", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            verify.run_suite("thm-4.4", 0, 2)
+        assert main(["verify", "thm-4.4", "--trials", "2"]) == 2
+
+    def test_seed_33_reports_its_failed_round_trip(self, capsys):
+        code, out = run(capsys, "verify", "thm-4.4", "--seed", "33")
+        checks = json.loads(out)[0]["checks"]
+        assert code == 1
+        assert checks[0] == {"check": "20 synth/recover round trips", "passed": False,
+                             "detail": "1 failures"}
+        assert all(c["passed"] for c in checks[1:])
 
 
 def round_trip_label(out):
@@ -445,6 +478,28 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: $.supWindow: supWindow 1000000000000 is above 1000000")
+
+    @pytest.mark.parametrize("offset, want", [(2 ** 62, None), (10 ** 6, 5.025834039306693)])
+    def test_streamed_running_sum_is_capped(self, tmp_path, capsys, monkeypatch, offset, want):
+        real, streamed = signals.outward_chunks, []
+
+        def counted(*args):  # a guard, so an uncapped stream fails and does not hang
+            for chunk in real(*args):
+                streamed.append(len(chunk))
+                assert sum(streamed) < 10 ** 7, "streamed past 10^7 samples"
+                yield chunk
+
+        monkeypatch.setattr(signals, "outward_chunks", counted)
+        w = write(tmp_path, "w.json", {"kind": "signalDerived", "supWindow": 10, "signal": {
+            "kind": "cumsum", "inner": {"kind": "expPoly", "terms": [{"t": 0.5, "coeffs": [1]}]}}})
+        seq = write(tmp_path, "f.json", {"entries": [[offset, 1, 0]]})
+        code = main(["seq", "norm", "--seq", seq, "--weight", w])
+        captured = capsys.readouterr()
+        if want is None:
+            assert (code, captured.out) == (1, "")
+            assert "MAX_PROBE_WINDOW = 100000000" in captured.err
+        else:
+            assert code == 0 and json.loads(captured.out) == {"norm": want}
 
     @pytest.mark.parametrize("argv", [
         ["seq", "ft", "--grid", "8"], ["seq", "ft", "--grid", "8", "--csv"], ["seq", "order", "--t", "0"],

@@ -188,6 +188,27 @@ class TestIteratedDifference:
             iterated_difference(g, [(1,), (1,)])
 
 
+class TestGridSignalValues:
+    def test_equal_grids_are_equal_and_hash_alike(self):
+        a, b = GridSignal((0, 0), np.ones((2, 2))), GridSignal((0, 0), np.ones((2, 2)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != GridSignal((0, 1), np.ones((2, 2)))
+        assert a != GridSignal((0, 0), 2 * np.ones((2, 2)))
+        assert a != GridSignal((0,), np.ones(4)) and a != "grid"
+
+    def test_negative_zero_hashes_like_zero(self):
+        a, b = GridSignal((0,), np.array([-0.0, 1.0])), GridSignal((0,), np.array([0.0, 1.0]))
+        assert a == b and hash(a) == hash(b)
+
+    def test_complex_input_is_copied_and_read_only(self):
+        values = np.ones((2, 2), dtype=complex)
+        g = GridSignal((0, 0), values)
+        values[0, 0] = 5
+        assert g.values[0, 0] == 1
+        with pytest.raises(ValueError):
+            g.values[0, 0] = 5
+
+
 class TestDegree:
     def test_quadratic(self):
         assert degree(poly_1d(1, 0, 3)) == 2

@@ -328,6 +328,137 @@ class TestDecompose:
             assert fgap <= 1e-8 and cgap <= 1e-6
 
 
+# The recovery pipeline as it stood before the design matrix became one
+# function: a per-term column builder with a (term, power) layout, a
+# Jacobian summed column by column, np.linalg.cond, and a second, full SVD
+# at the accepted recurrence order.  The library must reproduce it bit for bit.
+
+
+def _ref_build(ts, ns, sigma):
+    columns, layout = [], []
+    for idx, (t, mult) in enumerate(ts):
+        char = np.exp(1j * t * ns)
+        for j in range(mult):
+            columns.append((ns / sigma) ** j * char)
+            layout.append((idx, j))
+    return np.column_stack(columns), layout
+
+
+def _ref_recurrence(samples, max_order):
+    for r in range(1, max_order + 1):
+        if len(samples) - r < r + 1:
+            break
+        H = np.lib.stride_tricks.sliding_window_view(samples, r + 1)
+        svals = np.linalg.svd(H, compute_uv=False)
+        if svals[-1] <= spectra.HANKEL_NULL_REL * svals[0]:
+            return np.linalg.svd(H)[2][-1].conj()
+    raise DecompositionError(f"no annihilating recurrence of order <= {max_order} fits the window")
+
+
+def _ref_polish(merged, ns, vals, sigma):
+    ts = [t for t, _ in merged]
+    mults = [m for _, m in merged]
+    for _ in range(3):
+        A, layout = _ref_build(list(zip(ts, mults)), ns, sigma)
+        coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
+        r = vals - A @ coef
+        cols = []
+        for k in range(len(ts)):
+            part = np.zeros(len(ns), dtype=complex)
+            for col, (idx, _) in enumerate(layout):
+                if idx == k:
+                    part += coef[col] * A[:, col]
+            cols.append(1j * ns * part)
+        J = np.column_stack(cols)
+        q, _ = np.linalg.qr(A)
+        J = J - q @ (q.conj().T @ J)
+        try:
+            dt = np.linalg.solve(np.real(J.conj().T @ J), np.real(J.conj().T @ r))
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(dt)) or np.max(np.abs(dt)) > 1e-3:
+            break
+        ts = [t + float(d) for t, d in zip(ts, dt)]
+        if np.max(np.abs(dt)) < 1e-16:
+            break
+    return list(zip((t % (2 * math.pi) for t in ts), mults))
+
+
+def _ref_decompose(samples, k_max, n_max, tol):
+    vals = samples.values
+    h = _ref_recurrence(vals, k_max * (n_max + 1))
+    roots = polynomial_circle_roots(h, unimod_tol=1e-6)
+    total_mult = sum(m for _, m in roots)
+    if total_mult != len(h) - 1:
+        raise DecompositionError(
+            f"characteristic polynomial has {len(h) - 1 - total_mult} roots off "
+            "the unit circle; the samples are outside the model class")
+    merged = []
+    for z, mult in sorted(roots, key=lambda rm: cmath.phase(rm[0]) % (2 * math.pi)):
+        t = cmath.phase(z) % (2 * math.pi)
+        if merged and circle_distance(merged[-1][0], t) <= 10 * ANGULAR_TOL:
+            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
+        else:
+            merged.append((t, mult))
+    if len(merged) > k_max or any(m - 1 > n_max for _, m in merged):
+        raise DecompositionError(
+            "recovered structure exceeds the requested frequency or degree "
+            f"bounds: {[(t, m - 1) for t, m in merged]}")
+    ns = np.arange(samples.start, samples.end + 1)
+    sigma = max(1.0, float(np.max(np.abs(ns))))
+    merged = _ref_polish(merged, ns, vals, sigma)
+    A, layout = _ref_build(merged, ns, sigma)
+    cond = float(np.linalg.cond(A))
+    if cond > spectra.COND_THRESHOLD:
+        raise DecompositionError(f"recovery system condition {cond:.3e} above threshold "
+                                 f"{spectra.COND_THRESHOLD:.1e}")
+    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
+    residual = float(np.max(np.abs(A @ coef - vals)))
+    if residual >= tol:
+        raise DecompositionError(f"residual sup {residual:.3e} is not below tolerance {tol:.1e}")
+    terms = [(CirclePoint(t), [0j] * mult) for t, mult in merged]
+    for (idx, j), c in zip(layout, coef):
+        terms[idx][1][j] = complex(c) / sigma ** j
+    cleaned = []
+    for freq, coeffs in terms:
+        top = max(abs(c) for c in coeffs)
+        while coeffs and abs(coeffs[-1]) <= 1e-10 * top:
+            coeffs.pop()
+        if coeffs:
+            cleaned.append((freq, tuple(coeffs)))
+    return ExpPoly(cleaned)
+
+
+def _outcome(decompose, samples):
+    try:
+        return repr(decompose(samples, 3, 2, 1e-8))
+    except DecompositionError as exc:
+        return repr(exc)
+
+
+class TestDesignParity:
+    @pytest.mark.parametrize("start, length", [(-60, 121), (-7, 151), (0, 40)])
+    def test_design_matches_the_per_term_builder(self, start, length):
+        rng = np.random.default_rng(start + length)
+        ns = np.arange(start, start + length)
+        sigma = max(1.0, float(np.max(np.abs(ns))))
+        ts, mults = rng.uniform(0, 2 * math.pi, 3).tolist(), [3, 1, 2]
+        want, _ = _ref_build(list(zip(ts, mults)), ns, sigma)
+        got = spectra._design(ts, mults, ns, sigma)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_decompose_matches_the_reference_pipeline(self):
+        outcomes = []
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                samples = sample_signal(random_exppoly(rng, 3, 2), -60, 60)
+                want = _outcome(_ref_decompose, samples)
+                assert _outcome(decompose_finite_spectrum, samples) == want, seed
+                outcomes.append(want)
+        assert any(o.startswith("DecompositionError") for o in outcomes)  # errors are compared too
+
+
 class TestCalculusLaws:
     def test_polynomial_character_laws(self):
         s = ExpPoly([(1.0, (0, 1))])
