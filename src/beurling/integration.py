@@ -8,9 +8,10 @@ vanishing at 0), and a finite-evidence boundedness verdict over growing
 windows.
 
 The probe streams the signal outward from 0 on each side in chunks
-(``signals.outward_chunks``) and keeps one running sup per window ring, so
-its memory is O(chunk) whatever the top window; that window is capped at
-MAX_PROBE_WINDOW.
+(``signals.outward_chunks``, one reused buffer per side), takes their
+moduli into one reused float buffer and keeps one running sup per window
+ring, so its memory is O(chunk) whatever the top window; that window is
+capped at MAX_PROBE_WINDOW.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import UnboundedSupportError
 from .seq_algebra import PRUNE_REL, FinSeq
-from .signals import MAX_PROBE_WINDOW, CumSum, Signal, outward_chunks
+from .signals import CHUNK, MAX_PROBE_WINDOW, CumSum, Signal, outward_chunks
 
 #: Two consecutive window sups within this relative distance count as
 #: stabilized.
@@ -110,10 +111,12 @@ def boundedness_probe(s: Signal, windows: Sequence[int]) -> BoundednessVerdict:
         raise ValueError(f"top window {top} exceeds MAX_PROBE_WINDOW = {MAX_PROBE_WINDOW}")
     rings = list(zip([0] + [w + 1 for w in windows], [w + 1 for w in windows]))
     ring_sup = np.zeros(len(windows))  # ring i holds w_{i-1} < |n| <= w_i
+    moduli = np.empty(min(top + 1, CHUNK))
     for sign, start in ((1, 0), (-1, 1)):
         for chunk in outward_chunks(s, sign, start, top + 1):
+            mag = moduli[:len(chunk)]  # |phi(sign * m)| for m from start on
             with np.errstate(over="ignore"):  # a modulus past the float range is inf
-                mag = np.abs(chunk)  # |phi(sign * m)| for m from start on
+                np.abs(chunk, out=mag)
             for i, (r_lo, r_hi) in enumerate(rings):
                 seg = mag[max(r_lo - start, 0): max(r_hi - start, 0)]
                 if len(seg):

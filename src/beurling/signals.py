@@ -19,11 +19,13 @@ difference phi(n + y) - phi(n) are the same correlation, taken with
 delta_y and with delta_y - delta_0, so one kernel (``_correlate``) and
 one zero rule serve all three.
 
-Evaluation: ``eval_signal_range`` takes an ExpPoly's phases e^{i t n} from
-a block table, one exp per PHASE_BLOCK samples, at the accuracy of
-rounding t n.  ``outward_chunks`` yields a signal at n = 0, +-1, +-2, ...
-in chunks of at most CHUNK samples; a CumSum carries its running sum from
-chunk to chunk there, so a running sum to any radius needs O(CHUNK) memory.
+Evaluation: ``outward_chunks`` yields a signal at n = 0, +-1, +-2, ... in
+chunks of at most CHUNK samples, each written into one buffer that the
+stream reuses.  An ExpPoly's phases e^{i t n} come from a block table, one
+exp per PHASE_BLOCK samples, at the accuracy of rounding t n; a CumSum
+carries its running sum from chunk to chunk in place, so a running sum to
+any radius needs O(CHUNK) memory.  ``eval_signal_range`` copies the
+streams of an ExpPoly or a CumSum into one new array.
 """
 
 from __future__ import annotations
@@ -170,85 +172,121 @@ PHASE_BLOCK = 512
 CHUNK = 2 ** 14
 
 #: Farthest |n| to which a running sum is streamed, and the largest top
-#: window the boundedness probe accepts: 2 * 10^8 samples, about 7 s for
+#: window the boundedness probe accepts: 2 * 10^8 samples, about 2.5 s for
 #: the running sum of one character (the time grows with the terms).
 MAX_PROBE_WINDOW = 10 ** 8
 
 
 def eval_signal_range(s: Signal, lo: int, hi: int) -> np.ndarray:
-    """Vectorised evaluation on the inclusive range [lo, hi].
+    """Vectorised evaluation on the inclusive range [lo, hi], as a new array.
 
-    ``ExpPoly`` phases come from a block table (see ``_exppoly_along``);
-    a ``CumSum`` is summed outward from 0 by ``outward_chunks``.
+    A table is sliced and a ``Geometric`` taken in closed form; an
+    ``ExpPoly`` or a ``CumSum`` is copied out of its ``outward_chunks``
+    streams into one result, n = -1, -2, ... filled in from the right.
     """
     if hi < lo:
         raise ValueError("empty evaluation range")
-    if isinstance(s, ExpPoly):
-        if lo >= 0:
-            return _exppoly_along(s, 1, lo, hi + 1)
-        down = _exppoly_along(s, -1, max(-hi, 1), 1 - lo)[::-1]
-        return down if hi < 0 else np.concatenate((down, _exppoly_along(s, 1, 0, hi + 1)))
-    if isinstance(s, Geometric):
-        # scaled part by part: a complex product turns an overflowing inf into inf+nanj
-        out = np.empty(hi - lo + 1, dtype=complex)
-        with np.errstate(over="ignore"):
-            mag = np.power(float(s.ratio), np.arange(lo, hi + 1, dtype=float))
-            out.real, out.imag = (c * mag if c else 0.0 for c in (s.scale.real, s.scale.imag))
-        return out
     if isinstance(s, TableSignal):
-        if lo < s.start or hi > s.end:
-            raise WindowError(
-                f"range [{lo}, {hi}] outside table window [{s.start}, {s.end}]"
-            )
-        return s.values[lo - s.start: hi - s.start + 1].copy()
-    if isinstance(s, CumSum):
-        parts = []
-        if lo < 0:  # chunks below 0 come outward; put them back in order of n
-            parts = [c[::-1] for c in outward_chunks(s, -1, max(-hi, 1), 1 - lo)][::-1]
-        if hi >= 0:
-            parts += outward_chunks(s, 1, max(lo, 0), hi + 1)
-        return np.concatenate(parts)
-    raise TypeError(f"not a signal: {s!r}")
+        return _table_range(s, lo, hi).copy()
+    if isinstance(s, Geometric):
+        return _geometric_range(s, lo, hi)
+    if not isinstance(s, (ExpPoly, CumSum)):
+        raise TypeError(f"not a signal: {s!r}")
+    out = np.empty(hi - lo + 1, dtype=complex)
+    below = max(min(hi, -1) - lo + 1, 0)  # samples at n < 0
+    for dest, sign, start, stop in ((out[:below][::-1], -1, max(-hi, 1), 1 - lo),
+                                    (out[below:], 1, max(lo, 0), hi + 1)):
+        for chunk in outward_chunks(s, sign, start, stop):
+            dest[:len(chunk)] = chunk
+            dest = dest[len(chunk):]
+    return out
+
+
+def _table_range(s: TableSignal, lo: int, hi: int) -> np.ndarray:
+    """The table's samples on [lo, hi], as a read-only view."""
+    if lo < s.start or hi > s.end:
+        raise WindowError(f"range [{lo}, {hi}] outside table window [{s.start}, {s.end}]")
+    return s.values[lo - s.start: hi - s.start + 1]
+
+
+def _geometric_range(s: Geometric, lo: int, hi: int) -> np.ndarray:
+    """scale * ratio^n on [lo, hi], scaled part by part: a complex product
+    turns an overflowing inf into inf+nanj."""
+    out = np.empty(hi - lo + 1, dtype=complex)
+    with np.errstate(over="ignore"):
+        mag = np.power(float(s.ratio), np.arange(lo, hi + 1, dtype=float))
+        out.real, out.imag = (c * mag if c else 0.0 for c in (s.scale.real, s.scale.imag))
+    return out
 
 
 def outward_chunks(s: Signal, sign: int, start: int, stop: int) -> Iterator[np.ndarray]:
-    """Yield s(sign * m) for start <= m < stop, in order of m, as new arrays.
+    """Yield s(sign * m) for start <= m < stop, in order of m.
 
-    Chunks end at multiples of CHUNK, so memory stays O(CHUNK) however far
-    out the range reaches.  A ``CumSum`` streams its inner signal outward
-    from 0 and carries the partial sum across chunks: it is the one place a
-    running sum is taken, and it reads the inner signal on (0, m] going up
-    and on (-m, 0] going down, nowhere else.  Past MAX_PROBE_WINDOW it is
-    a ValueError, raised before anything is summed.
+    Every chunk is a C-contiguous view of one buffer that the stream
+    reuses: it is valid until the next chunk is asked for, so a consumer
+    that keeps one copies it.  Chunks end at multiples of CHUNK, so memory
+    stays O(CHUNK) however far out the range reaches.  An ``ExpPoly`` is
+    evaluated straight into the buffer (``_exppoly_chunks``); table and
+    ``Geometric`` samples are copied into it in order of |n|.  A ``CumSum``
+    streams its inner signal outward from 0 and carries the partial sum
+    across chunks, in place in the inner stream's buffer: it is the one
+    place a running sum is taken, and it reads the inner signal on (0, m]
+    going up and on (-m, 0] going down, nowhere else.  Past
+    MAX_PROBE_WINDOW it is a ValueError, raised before anything is summed.
     """
-    if not isinstance(s, CumSum):
-        while start < stop:
-            end = min(stop, (start // CHUNK + 1) * CHUNK)
-            yield (eval_signal_range(s, start, end - 1) if sign > 0
-                   else eval_signal_range(s, 1 - end, -start)[::-1])
-            start = end
+    if isinstance(s, CumSum):
+        yield from _running_sum(s, sign, start, stop)
         return
+    if isinstance(s, ExpPoly):
+        yield from _exppoly_chunks(s, sign, start, stop)
+        return
+    if not isinstance(s, (TableSignal, Geometric)):
+        raise TypeError(f"not a signal: {s!r}")
+    if start >= stop:
+        return
+    sampled = _table_range if isinstance(s, TableSignal) else _geometric_range
+    buf = np.empty(min(stop - start, CHUNK), dtype=complex)
+    for a, b in _spans(start, stop):
+        chunk = buf[:b - a]
+        chunk[:] = sampled(s, a, b - 1) if sign > 0 else sampled(s, 1 - b, -a)[::-1]
+        yield chunk
+
+
+def _spans(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """[start, stop) cut into spans [a, b) that end at multiples of CHUNK."""
+    while start < stop:
+        end = min(stop, (start // CHUNK + 1) * CHUNK)
+        yield start, end
+        start = end
+
+
+def _running_sum(s: CumSum, sign: int, start: int, stop: int) -> Iterator[np.ndarray]:
     if stop - 1 > MAX_PROBE_WINDOW:
         raise ValueError(f"a running sum streamed to |n| = {stop - 1} exceeds "
                          f"MAX_PROBE_WINDOW = {MAX_PROBE_WINDOW}")
-    if start == 0 < stop:
-        yield np.zeros(1, dtype=complex)  # the empty sum P phi(0)
     first = 1 if sign > 0 else 0
     m, total = 1, 0j  # the next piece starts at P phi(sign * m)
     for piece in outward_chunks(s.inner, sign, first, stop - 1 + first):
+        if m == 1 and start == 0:
+            # the empty sum P phi(0) borrows the first slot, given back before it is summed
+            head, piece[0] = piece[0], 0
+            yield piece[:1]
+            piece[0] = head
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the probe refuses it
             piece[0] += total  # adding the carry first keeps the sum sequential
             np.cumsum(piece, out=piece)
         total = piece[-1]
-        if sign < 0:
-            np.negative(piece, out=piece)
+        if sign < 0:  # on the float view: exact, and vectorised where complex negation is not
+            np.negative(piece.view(float), out=piece.view(float))
         if m + len(piece) > start:
             yield piece[max(start - m, 0):]
         m += len(piece)
+    if start == 0 < stop == 1:  # no inner sample to borrow a slot from
+        yield np.zeros(1, dtype=complex)
 
 
-def _exppoly_along(s: ExpPoly, sign: int, a: int, b: int) -> np.ndarray:
-    """s(sign * m) for 0 <= a <= m < b, with phases from a block table.
+def _exppoly_chunks(s: ExpPoly, sign: int, start: int, stop: int) -> Iterator[np.ndarray]:
+    """s(sign * m) for 0 <= start <= m < stop, with phases from a block table.
 
     e^{i t m} = e^{i t qB} e^{i t r} for m = qB + r: one complex product per
     sample, not one exp.  Blocks are counted from 0 (and n < 0 is read as
@@ -256,33 +294,53 @@ def _exppoly_along(s: ExpPoly, sign: int, a: int, b: int) -> np.ndarray:
     of t m, and a phase is as accurate as the direct e^{i t m} plus a few ulp.
     On the first block the block phase is 1 and the products run in the
     direct formula's operand order, so |n| < B gets the direct values.
+    Each term's row e^{i t r} is taken once per stream (over the residues
+    the stream has, when it stays inside one block); the block-phase table,
+    and for polynomial terms the Horner buffers, are reused chunk to chunk.
     """
-    out = np.zeros(b - a, dtype=complex)
-    q0, r0 = divmod(a, PHASE_BLOCK)
-    rows = (b - 1) // PHASE_BLOCK - q0 + 1
-    residues = np.arange(PHASE_BLOCK) if rows > 1 else np.arange(r0, r0 + b - a)
-    table = np.empty((rows, len(residues)), dtype=complex)
-    phases = table.ravel()[r0 if rows > 1 else 0:][:b - a]
-    ns = None
+    if start >= stop:
+        return
+    buf = np.empty(min(stop - start, CHUNK), dtype=complex)
+    q_first, r_first = divmod(start, PHASE_BLOCK)
+    rows_max = min(CHUNK // PHASE_BLOCK, (stop - 1) // PHASE_BLOCK - q_first + 1)
+    r_lo = r_first if rows_max == 1 else 0
+    # a one-block stream takes only its own residues, plus one spare: numpy multiplies a
+    # lone pair of size-1 operands without the fused multiply-add its longer loops use
+    residues = np.arange(r_lo, r_lo + len(buf) + 1) if rows_max == 1 else np.arange(PHASE_BLOCK)
+    table = np.empty((rows_max, len(residues)), dtype=complex)
+    ts = [sign * term.freq.t for term in s.terms]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the probe refuses it
-        for term in s.terms:
-            t = sign * term.freq.t
-            block = np.exp(1j * (t * PHASE_BLOCK) * np.arange(q0, q0 + rows))
-            row = np.exp(1j * t * residues)
-            if term.degree() == 0:
-                np.multiply(row, term.coeffs[0] * block[:, None], out=table)
-                out += phases
-                continue
-            np.multiply(row, block[:, None], out=table)
-            if ns is None:
-                ns = sign * np.arange(a, b, dtype=float)
-            poly = np.full(b - a, term.coeffs[-1])
-            for c in term.coeffs[-2::-1]:  # Horner, in place
-                poly *= ns
-                poly += c
-            np.multiply(phases, poly, out=poly)
-            out += poly
-    return out
+        terms = [(t, np.exp(1j * t * residues), term.coeffs) for t, term in zip(ts, s.terms)]
+    if any(term.degree() for term in s.terms):
+        steps, ns = np.arange(len(buf), dtype=float), np.empty(len(buf))
+        poly, prod = np.empty_like(buf), np.empty_like(buf)
+    for a, b in _spans(start, stop):
+        out = buf[:b - a]
+        q0, r0 = divmod(a, PHASE_BLOCK)
+        rows = (b - 1) // PHASE_BLOCK - q0 + 1
+        phases = table[:rows].ravel()[r0 - r_lo:][:b - a]
+        if not terms:
+            out.fill(0)
+        chunk_ns = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (t, row, coeffs) in enumerate(terms):
+                block = np.exp(1j * (t * PHASE_BLOCK) * np.arange(q0, q0 + rows))
+                if len(coeffs) == 1:
+                    np.multiply(row, coeffs[0] * block[:, None], out=table[:rows])
+                    value = phases
+                else:
+                    np.multiply(row, block[:, None], out=table[:rows])
+                    if chunk_ns is None:
+                        chunk_ns = np.add(steps[:b - a], float(a), out=ns[:b - a])
+                        chunk_ns *= sign
+                    value = poly[:b - a]
+                    value.fill(coeffs[-1])
+                    for c in coeffs[-2::-1]:  # Horner, in place
+                        value *= chunk_ns
+                        value += c
+                    value = np.multiply(phases, value, out=prod[:b - a])  # in place, one sample rounds unfused
+                np.add(out if k else 0j, value, out=out)  # a sum from 0: no -0.0 survives
+        yield out
 
 
 def signal_is_zero(s: Signal) -> bool:

@@ -500,6 +500,7 @@ class TestErrorPaths:
             assert "MAX_PROBE_WINDOW = 100000000" in captured.err
         else:
             assert code == 0 and json.loads(captured.out) == {"norm": want}
+            assert sum(streamed) > 10 ** 6  # the running sum reached the offset through the stream
 
     @pytest.mark.parametrize("argv", [
         ["seq", "ft", "--grid", "8"], ["seq", "ft", "--grid", "8", "--csv"], ["seq", "order", "--t", "0"],

@@ -248,6 +248,24 @@ class TestProbeParity:
         assert _outcome(whole_window_probe, s, windows)[0] == "ValueError"
 
 
+class TestProbeSups:
+    SIGNALS = [
+        ExpPoly([(1.1, (0.7 - 0.2j,))]),
+        ExpPoly([(0.4, (1, 0.3j)), (2.6, (-0.5j,))]),
+        ExpPoly([(0.3, (1, 0.01j, 1e-5)), (1.9, (0.5j, -1e-3)), (-2.7, (0.25,))]),
+        CumSum(ExpPoly([(0.5, (1,)), (1.7, (0.3j,)), (2.9, (-0.4,))])),
+        CumSum(ExpPoly([(0.9, (1, 1e-3j)), (-1.3, (0.5,))])),
+        CumSum(CumSum(ExpPoly([(0.5, (1,)), (2.0, (0.2j,))]))),
+    ]
+
+    @pytest.mark.parametrize("s", SIGNALS)
+    def test_each_sup_is_the_largest_evaluated_modulus(self, s):
+        # bit for bit: every chunk is summarised on contiguous memory, as a range is
+        windows = [3, 100, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK]
+        for w, sup in boundedness_probe(s, windows).sup_trace:
+            assert sup == float(np.max(np.abs(eval_signal_range(s, -w, w)))), w
+
+
 def test_modulus_past_the_float_range_reads_inf():
     # both parts of phi(-936) are finite, and its modulus is not
     s = Geometric(0.46957801080258676, 1 + 9.375j)

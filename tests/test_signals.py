@@ -190,7 +190,7 @@ class TestOutwardChunks:
                                              (CHUNK - 1, CHUNK + 1), (5, 9)])
     def test_nested_cumsum_streams_the_whole_range(self, sign, start, stop):
         s = CumSum(CumSum(ExpPoly([(0.5, (1,)), (2.0, (0.2j, 0.01))])))
-        chunks = list(outward_chunks(s, sign, start, stop))
+        chunks = [c.copy() for c in outward_chunks(s, sign, start, stop)]  # each is valid until the next
         assert all(len(c) <= CHUNK for c in chunks)
         got = np.concatenate(chunks)
         lo, hi = sorted((sign * start, sign * (stop - 1)))
@@ -199,9 +199,49 @@ class TestOutwardChunks:
 
     def test_running_sum_matches_a_whole_cumsum(self):
         inner = ExpPoly([(0.7, (1.0, 0.5j))])
-        got = np.concatenate(list(outward_chunks(CumSum(inner), 1, 0, 3 * CHUNK)))
+        got = np.concatenate([c.copy() for c in outward_chunks(CumSum(inner), 1, 0, 3 * CHUNK)])
         want = np.concatenate(([0j], np.cumsum(eval_signal_range(inner, 1, 3 * CHUNK - 1))))
         assert np.array_equal(got, want)  # the carry keeps the sum sequential
+
+    KINDS = {  # every signal kind; the table reaches three chunks each way
+        "expPoly": ExpPoly([(0.5, (1, 0.3j)), (2.0, (0.2j,))]),
+        "geometric": Geometric(1.0001, 1 - 1j),
+        "table": TableSignal(-3 * CHUNK, np.arange(6 * CHUNK + 1) * (1 + 0.5j)),
+        "cumsum": CumSum(ExpPoly([(0.5, (1,))])),
+        "cumsum2": CumSum(CumSum(TableSignal(-3 * CHUNK, np.ones(6 * CHUNK + 1)))),
+    }
+
+    @pytest.mark.parametrize("start", [0, 1, CHUNK - 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_chunks_are_contiguous_views_of_one_buffer(self, kind, sign, start):
+        chunks = outward_chunks(self.KINDS[kind], sign, start, 2 * CHUNK + 3)
+        prev = next(chunks)
+        assert prev.flags.c_contiguous
+        count = 1
+        for chunk in chunks:
+            assert chunk.flags.c_contiguous
+            assert np.shares_memory(chunk, prev)  # a fresh array per chunk fails here
+            prev, count = chunk, count + 1
+        assert count >= 3
+
+    def test_cumsum_ranges_are_independent_arrays(self):
+        s = CumSum(ExpPoly([(0.5, (1,)), (2.0, (0.2j,))]))
+        a = eval_signal_range(s, -CHUNK - 2, CHUNK + 2)
+        b = eval_signal_range(s, -CHUNK - 2, CHUNK + 2)
+        assert not np.shares_memory(a, b)
+        kept = a.copy()
+        b[:] = 0
+        assert np.array_equal(a, kept) and np.array_equal(eval_signal_range(s, -CHUNK - 2, CHUNK + 2), kept)
+
+    @pytest.mark.parametrize("n", [-CHUNK - 1, -CHUNK, -2, -1, 1, 2, CHUNK, CHUNK + 1])
+    def test_a_sample_does_not_depend_on_the_range(self, n):
+        # one-sample ranges and chunks round as the samples of longer ones do
+        inner = ExpPoly([(0.9, (1, -2j, 0.5)), (2.3, (1j, 0.25))])
+        for s in (inner, CumSum(inner)):
+            want = eval_signal_range(s, -2 * CHUNK, 2 * CHUNK)[n + 2 * CHUNK]
+            for lo, hi in ((n, n), (n - 1, n), (n, n + 1), (min(n, 0), max(n, 0))):
+                assert eval_signal_range(s, lo, hi)[n - lo] == want, (lo, hi)
 
     def test_table_read_only_on_the_running_sum_domain(self):
         # P phi on [-4, 6] reads phi on [-3, 6] and nowhere else
