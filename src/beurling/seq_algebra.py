@@ -337,11 +337,12 @@ def vanishing_order(f: FinSeq, t: float | CirclePoint, tol: float = 1e-9) -> int
     tt = t.t if isinstance(t, CirclePoint) else float(t)
     if not math.isfinite(tt):
         raise ValueError(f"the circle point must be a finite angle, got {tt}")
+    tt = math.fmod(tt, 2 * math.pi)  # exact, and keeps rel * tt finite
     rel = (f._n - f._n[0]).astype(float)  # exact differences, then rounded
     dist = rel - rel[-1] / 2
-    terms = f._v * np.exp(-1j * rel * tt)  # |e^{-i lo t}| = 1 drops out
     weights = np.abs(f._v)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing scale ends the test
+        terms = f._v * np.exp(-1j * rel * tt)  # |e^{-i lo t}| = 1 drops out
         for j in range(int(f._n[-1] - f._n[0]) + 1):
             scale = float(np.sum(weights))
             if not math.isfinite(scale):

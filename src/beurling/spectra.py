@@ -18,11 +18,15 @@ it.  At desk scale this module computes:
 * a symbolic checker for the spectral-calculus laws.
 
 Unit-circle roots of a polynomial of degree D come from its companion
-matrix while D <= LOCAL_ORDER.  Above that a grid test with third-order
-Taylor bounds proves most of the circle free of roots within the acceptance
-band, and short pieces of the cells it leaves open each get a Taylor
+matrix while D <= LOCAL_ORDER.  Above that a grid test proves most of the
+circle free of roots within the acceptance band in two levels: coarse
+cells of eight grid cells get sixth-order Taylor bounds from G/8-point
+FFTs, and only the cells of the coarse cells left open get third-order
+bounds.  Short pieces of the cells it leaves open each get a Taylor
 eigenproblem of at most LOCAL_ORDER, just large enough that its tail stays
-below the bound LOCAL_ORDER guarantees, so no D x D eigenproblem is formed.
+below the rounding of its coefficients, so no D x D eigenproblem is
+formed; a root found there is polished by Newton on its piece's Taylor
+polynomial.
 
 Empty verdicts always carry a certificate: a member of the ideal whose
 transform is bounded away from zero on a grid.
@@ -99,23 +103,39 @@ LOCAL_ORDER = 28
 #: Grid cells per unit of degree (G is the next power of two).  A piece
 #: keeps local roots within rho = half-width + h + 2 ROOT_CLUSTER_RADIUS of
 #: its centre, where a Taylor problem of order K leaves a tail below
-#: sum |c| (D rho)^(K+1) / (K+1)!.  With cells of width 2 pi/(32 D), D rho
-#: stays under 2.3 up to degree 256, where order LOCAL_ORDER leaves a tail
-#: of 3.5e-21 sum |c|, far below rounding; the arc a piece owns stays under
-#: D rho = 1.7 at any degree, and only the scattered members of a cluster
-#: lie further out, where the tail grows with D.  The grid test's rounding
-#: term needs G >= 32 D too (see _open_cells).
+#: sum |c| (D rho)^(K+1) / (K+1)!.  With cells of width h = 2 pi/(32 D),
+#: D rho stays under 2.3 up to degree 256, where order LOCAL_ORDER leaves a
+#: tail of 3.5e-21 sum |c|, below the _LOCAL_TAIL a piece needs; the arc a
+#: piece owns stays under D rho = 1.7 at any degree, and only the scattered
+#: members of a cluster lie further out, where the tail grows with D.
+#: G >= 32 D also keeps the grid test's rounding within G eps sum |c| (see
+#: _open_cells).  At the fine level it scales the rounding of |F^(k)| by
+#: (|n - D/2| h/2)^k/k! <= 0.05^k/k!.  At the coarse level, cells of width
+#: H = 8 h, x = (D/2)(H/2) <= pi/8 gives sum_k x^k/k! <= e^(pi/8) < 1.5,
+#: so its G/8-point FFTs' rounding stays within it; so do the directly
+#: summed cells, D + 1 terms each, since G >= 32 D.
 GRID_PER_DEGREE = 32
+
+#: Grid cells per coarse cell of the grid test's first level (see _open_cells).
+_COARSE = 8
+
+#: The grid test gathers the sums of the cells its first level leaves open
+#: while they add up to at most this many times (G/8) log2(G/8) terms; past
+#: that, measured at degrees 40-1000, its G/8-point FFTs are cheaper.
+_GATHER_LIMIT = 2
 
 #: Open cells per local problem: a wider piece would push D rho, and with
 #: it the Taylor order its tail needs, up; a narrower one costs more
 #: eigenproblems.
 PIECE_CELLS = 16
 
-#: The Taylor tail (D rho)^(K+1)/(K+1)! that order LOCAL_ORDER leaves at the
-#: worst case D rho = 2.3 above.  Each piece solves the least order K whose
-#: tail is no larger, so a piece of small D rho gets a smaller eigenproblem.
-_LOCAL_TAIL = 2.3 ** (LOCAL_ORDER + 1) / math.factorial(LOCAL_ORDER + 1)
+#: The Taylor tail (D rho)^(K+1)/(K+1)!, relative to sum |c|, that a local
+#: problem may leave: eps/16, below the rounding of its coefficients b_k,
+#: which are sums of D + 1 terms of size up to |c_n|.  Each piece solves the
+#: least order K whose tail is no larger, capped at LOCAL_ORDER; the cap
+#: binds only from D rho = 3.06 on, past the 2.3 any piece reaches up to
+#: degree 256.
+_LOCAL_TAIL = np.finfo(float).eps / 16
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +258,25 @@ def _refine_root(coeffs: np.ndarray, z0: complex, mult: int) -> complex:
     return z if abs(z - z0) <= 2 * ROOT_CLUSTER_RADIUS else z0
 
 
-def _polish_on_circle(c: np.ndarray, clusters, unimod_tol: float) -> list[tuple[complex, int]]:
+def _polish_on_circle(clusters, unimod_tol: float) -> list[tuple[complex, int]]:
     """Polish each cluster centre within reach of the circle; keep the
-    polished roots with ||z| - 1| < unimod_tol."""
+    polished roots with ||z| - 1| < unimod_tol.  A cluster is (centre,
+    multiplicity, coefficients of p in w = z - origin, origin)."""
     out = []
-    for center, mult in clusters:
+    for center, mult, coeffs, origin in clusters:
         if abs(abs(center) - 1.0) > 2 * ROOT_CLUSTER_RADIUS + unimod_tol:
             continue
-        z = _refine_root(c, center, mult)
+        z = origin + _refine_root(coeffs, center - origin, mult)
         if abs(abs(z) - 1.0) < unimod_tol:
             out.append((z, mult))
     return out
+
+
+def _running_products(first, step, rows: int) -> np.ndarray:
+    """Rows first * step^k, k = 0..rows - 1, by a running product."""
+    out = np.empty((rows, np.size(step)), dtype=np.result_type(first, step))
+    out[0], out[1:] = first, step
+    return np.cumprod(out, axis=0, out=out)
 
 
 def _open_cells(c: np.ndarray, unimod_tol: float) -> np.ndarray:
@@ -260,21 +288,59 @@ def _open_cells(c: np.ndarray, unimod_tol: float) -> np.ndarray:
     - |F''_j| h^2/8 - |F'''_j| h^3/48 - M4 h^4/384 with
     M4 = sum |c_n| |n - D/2|^4.  A root (1 + d) e^{it} with |d| < tol forces
     |p(e^{it})| < tol M1 (1 + tol)^(D-1), M1 = sum n |c_n|; the factor 2 and
-    G eps sum|c| cover the FFTs' rounding, since G >= 32 D scales the
-    rounding of |F^(k)_j| by (|n - D/2| h/2)^k/k! <= 0.05^k/k!.
+    G eps sum|c| cover the rounding (see GRID_PER_DEGREE).
+
+    Two levels make the test cheap.  Coarse cells [(8 J - 4) h, (8 J + 4) h]
+    of width H = 8 h get the same bound to sixth order with an M7 remainder,
+    from one batch of G/8-point FFTs.  A coarse cell it closes holds no
+    root, and only the cells that touch an open one get the third-order
+    test.  Cell j = 8 J + s, -4 <= s < 4, has e^{in t_j} = e^{inJH} e^{insh}.
+    Where few cells are left, their sums come from a G/8-entry phase table
+    at the exact index n J mod G/8 and a table of e^{insh}, by one matmul;
+    where many are, from the coarse sums at s = 0 and G/8-point FFTs of
+    c_n e^{insh} for the other seven s, whichever is cheaper.
     """
     D = len(c) - 1
     G = 1 << (GRID_PER_DEGREE * D - 1).bit_length()
+    Gc = G // _COARSE
     h = 2 * math.pi / G
     a = np.abs(c)
-    n = np.arange(D + 1) - D / 2
-    # |sum_n c_n (n - D/2)^k e^{int_j}|, k = 0..3, by inverse FFTs scaled by G
-    f0, f1, f2, f3 = (np.abs(np.fft.ifft(c * n ** k, G)) * G for k in range(4))
-    lower = (f0 - f1 * h / 2 - f2 * h ** 2 / 8 - f3 * h ** 3 / 48
-             - float(np.sum(a * n ** 4)) * h ** 4 / 384)
+    m = np.arange(D + 1)
+    n = m - D / 2
+    powers = _running_products(1.0, n, 8)  # (n - D/2)^k, k = 0..7
     growth = math.exp(min((D - 1) * math.log1p(unimod_tol), 700.0))
-    band = 2 * float(np.sum(np.arange(D + 1) * a)) * unimod_tol * growth
-    return lower <= band + G * np.finfo(float).eps * float(np.sum(a))
+    band = 2 * float(np.sum(m * a)) * unimod_tol * growth
+    level = band + G * np.finfo(float).eps * float(np.sum(a))
+    # |sum_n c_n (n - D/2)^k e^{inJH}|, k = 0..6, by unscaled inverse FFTs
+    coarse = np.abs(np.fft.ifft(c * powers[:7], Gc, norm="forward"))
+    r = _COARSE * h / 2
+    taylor = np.array([1.0] + [-r ** k / math.factorial(k) for k in range(1, 7)])
+    coarse_open = taylor @ coarse - float(a @ np.abs(powers[7])) * r ** 7 / 5040 <= level
+    # touch[J, s + 4]: cell 8 J + s touches an open coarse cell; s = -4
+    # straddles coarse cells J - 1 and J
+    touch = np.repeat(coarse_open[:, None], _COARSE, axis=1)
+    touch[1:, 0] |= coarse_open[:-1]
+    touch[0, 0] |= coarse_open[-1]
+    shifted = c * _running_products(np.exp(-4j * h * m), np.exp(1j * h * m), _COARSE)  # s = -4..3
+    fine_taylor = np.array([1.0, -h / 2, -h ** 2 / 8, -h ** 3 / 48])
+    M4 = float(a @ powers[4]) * h ** 4 / 384
+    if np.count_nonzero(touch) * (D + 1) <= _GATHER_LIMIT * Gc * math.log2(Gc):
+        cell = np.flatnonzero(touch)
+        J, shift = np.divmod(cell, _COARSE)
+        index = np.outer(J, m)
+        index &= Gc - 1
+        rows = np.exp(2j * math.pi / Gc * np.arange(Gc))[index]
+        rows *= shifted[shift]
+        layout = np.zeros(G, dtype=bool)
+        layout[cell] = np.abs(rows @ powers[:4].T) @ fine_taylor - M4 <= level
+    else:
+        lower = np.empty((_COARSE, Gc))
+        lower[4] = fine_taylor @ coarse[:4]
+        others = [0, 1, 2, 3, 5, 6, 7]
+        fine = np.abs(np.fft.ifft(powers[:4, None, :] * shifted[others], Gc, norm="forward"))
+        lower[others] = (fine_taylor @ fine.reshape(4, -1)).reshape(len(others), Gc)
+        layout = ((lower - M4 <= level).T & touch).ravel()
+    return np.concatenate((layout[4:], layout[:4]))  # layout[8 J + s + 4] is cell 8 J + s
 
 
 def _open_runs(open_cells: np.ndarray) -> list[np.ndarray]:
@@ -318,35 +384,52 @@ def _local_roots(local: np.ndarray, reach: Sequence[float]) -> list[np.ndarray]:
     return out
 
 
+def _local_expansions(c: np.ndarray, q: np.ndarray, G: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients b_k, k <= K, of p at each z0 = e^{i pi q / G} in
+    v = D (z - z0), one row per q, and the centres z0:
+    b_k = z0^-k sum_n C(n, k) D^-k c_n z0^n.  A centre is a half-multiple
+    of the cell width 2 pi / G, so each power z0^m = e^{i pi (q m mod 2G) / G}
+    takes its phase from an exact integer, not from the rounded product m t0."""
+    D = len(c) - 1
+
+    def phase(m):
+        return np.exp(1j * math.pi / G * (np.outer(q, m) % (2 * G)))
+
+    k = np.arange(1, K + 1)[:, None]
+    ns = np.arange(D + 1)
+    binom = np.vstack([np.ones(D + 1), np.cumprod((ns - k + 1) / (k * D), axis=0)])
+    return (c * phase(ns)) @ binom.T * phase(-np.arange(K + 1)), phase([1])[:, 0]
+
+
 def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex, int]]:
     """Circle roots of a polynomial of degree D > LOCAL_ORDER: a grid test
     closes root-free cells, and each piece of the open runs gets one Taylor
     eigenproblem at its centre, of the least order whose tail stays within
-    _LOCAL_TAIL (at most LOCAL_ORDER)."""
+    _LOCAL_TAIL (at most LOCAL_ORDER).  Each cluster a piece claims is
+    polished by Newton on that piece's Taylor polynomial."""
     D = len(c) - 1
     open_cells = _open_cells(c, unimod_tol)
-    h = 2 * math.pi / open_cells.size
+    G = open_cells.size
+    h = 2 * math.pi / G
     pieces = [piece for run in _open_runs(open_cells)
               for piece in np.array_split(run, -(-run.size // PIECE_CELLS))]
-    centres = np.array([(p[0] + p[-1]) * h / 2 for p in pieces])
-    # Taylor coefficients of p at z0 = e^{i t0} in v = D (z - z0):
-    # b_k = z0^-k sum_n C(n, k) D^-k c_n z0^n, for k <= LOCAL_ORDER
-    k = np.arange(1, LOCAL_ORDER + 1)[:, None]
-    ns = np.arange(D + 1)
-    binom = np.vstack([np.ones(D + 1), np.cumprod((ns - k + 1) / (k * D), axis=0)])
-    local = ((c * np.exp(1j * np.outer(centres, ns))) @ binom.T
-             * np.exp(-1j * np.outer(centres, np.arange(LOCAL_ORDER + 1))))
+    if not pieces:
+        return []
+    q = np.array([p[0] + p[-1] for p in pieces])  # centres t0 = q h / 2
+    centres = q * h / 2
+    reach = [D * (p.size * h / 2 + h + 2 * ROOT_CLUSTER_RADIUS) for p in pieces]
+    orders = [_taylor_order(x) for x in reach]
+    local, z0 = _local_expansions(c, q, G, max(orders))
     # A cluster centre is claimed by the piece whose arc holds its angle,
     # widened by mu so that a root on a cut is lost by neither side; the
     # second claim, within 2 mu and from another piece, is then dropped.
     # mu <= h/4 keeps the margins of two runs apart, and 2 mu below
     # ROOT_CLUSTER_RADIUS means one piece never has two clusters that close.
     mu = min(h, ROOT_CLUSTER_RADIUS) / 4
-    reach = [D * (p.size * h / 2 + h + 2 * ROOT_CLUSTER_RADIUS) for p in pieces]
     claims = []
     for i, (piece, t0, v) in enumerate(zip(pieces, centres, _local_roots(local, reach))):
         half = piece.size * h / 2
-        z = cmath.exp(1j * t0) + v[np.abs(v) <= reach[i]] / D
+        z = z0[i] + v[np.abs(v) <= reach[i]] / D
         for center, mult in _cluster_roots(z):
             d = (cmath.phase(center) - t0 + math.pi) % (2 * math.pi) - math.pi
             if -half - mu <= d < half + mu:
@@ -358,7 +441,10 @@ def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex,
             kept.append(claim)
     if len(kept) > 1 and kept[0][1] != kept[-1][1] and kept[0][0] + 2 * math.pi - kept[-1][0] <= 2 * mu:
         kept.pop()
-    return _polish_on_circle(c, [(center, mult) for _, _, center, mult in kept], unimod_tol)
+    # the piece's Taylor polynomial in w = z - z0 = v / D
+    return _polish_on_circle(
+        [(center, mult, local[i, :orders[i] + 1] * float(D) ** np.arange(orders[i] + 1), z0[i])
+         for _, i, center, mult in kept], unimod_tol)
 
 
 def polynomial_circle_roots(
@@ -371,8 +457,9 @@ def polynomial_circle_roots(
     most cells root-free, and short pieces of the remaining cells each get
     a Taylor eigenproblem of order at most LOCAL_ORDER whose clusters are
     kept by the piece that owns their angle.  Cluster centres within reach
-    of the circle are refined by Newton steps on the appropriate derivative
-    and kept when ||z| - 1| < unimod_tol.
+    of the circle are refined by Newton steps on the appropriate derivative,
+    of the whole polynomial or of the piece's Taylor polynomial, and kept
+    when ||z| - 1| < unimod_tol.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
@@ -392,7 +479,8 @@ def polynomial_circle_roots(
         return []
     if len(c) - 1 > LOCAL_ORDER:
         return _local_circle_roots(c, unimod_tol)
-    return _polish_on_circle(c, _cluster_roots(np.roots(c[::-1])), unimod_tol)
+    return _polish_on_circle([(center, mult, c, 0.0) for center, mult in _cluster_roots(np.roots(c[::-1]))],
+                             unimod_tol)
 
 
 def _empty_certificate(gens: Sequence[FinSeq]) -> EmptyCertificate:

@@ -514,6 +514,23 @@ class TestErrorPaths:
         assert (code, captured.out) == (1, "")
         assert "overflows the float range" in captured.err
 
+    @pytest.mark.parametrize("t", ["1.7976931348623157e308", "-1e308", "1e17"])
+    def test_order_reduces_a_huge_angle_before_using_it(self, tmp_path, capsys, t):
+        # the angle enters mod 2 pi, so no phase n t overflows: one entry
+        # of 1.8e308 keeps |F| away from zero (order 0), two overflow the
+        # order-0 scale, which is reported as such
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape
+            seq = write(tmp_path, "f.json", {"entries": [[15, 8.54, 1e-320], [-39, 1.7976931348623157e308, -6.54]]})
+            code = main(["seq", "order", "--seq", seq, f"--t={t}"])
+            captured = capsys.readouterr()
+            assert (code, json.loads(captured.out)) == (0, {"t": float(t), "order": 0})
+            seq = write(tmp_path, "g.json", {"entries": [[0, 1.7976931348623157e308, 0], [1, 1.7976931348623157e308, 0]]})
+            code = main(["seq", "order", "--seq", seq, f"--t={t}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "order-0 derivative test overflows the float range" in captured.err
+
     def test_window_error_is_input_error(self, tmp_path, capsys):
         sig = write(tmp_path, "s.json",
                     signal_to_json(sample_signal(Geometric(2), 0, 3)))

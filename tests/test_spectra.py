@@ -847,7 +847,8 @@ class TestCellTestAndTaylorOrder:
         if reach <= 2.3:
             assert tail[K] <= spectra._LOCAL_TAIL * (1 + 1e-12)
         assert tail[K - 1] > spectra._LOCAL_TAIL * (1 - 1e-12)
-        assert K == J or reach < 2.3
+        # the cap binds from the reach where order J's tail reaches _LOCAL_TAIL
+        assert K == J or reach < (spectra._LOCAL_TAIL * math.factorial(J + 1)) ** (1 / (J + 1))
 
     @pytest.mark.parametrize("support", [J + 2, 60, 128, 200, 257])
     def test_every_piece_solves_its_own_order(self, support, monkeypatch):
@@ -929,3 +930,146 @@ class TestCellTestAndTaylorOrder:
             want = P.polyval(np.complex128(z), c)
             got = spectra._horner(high_first, z)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+# ---------------------------------------------------------------------------
+# the two-level grid test against the single-level one it replaced
+
+
+def _ref_open_cells(c, unimod_tol):
+    """The single-level grid test: every cell's third-order bound from four
+    G-point FFTs."""
+    D = len(c) - 1
+    G = 1 << (spectra.GRID_PER_DEGREE * D - 1).bit_length()
+    h = 2 * math.pi / G
+    a = np.abs(c)
+    n = np.arange(D + 1) - D / 2
+    f0, f1, f2, f3 = (np.abs(np.fft.ifft(c * n ** k, G)) * G for k in range(4))
+    lower = (f0 - f1 * h / 2 - f2 * h ** 2 / 8 - f3 * h ** 3 / 48
+             - float(np.sum(a * n ** 4)) * h ** 4 / 384)
+    growth = math.exp(min((D - 1) * math.log1p(unimod_tol), 700.0))
+    band = 2 * float(np.sum(np.arange(D + 1) * a)) * unimod_tol * growth
+    return lower <= band + G * np.finfo(float).eps * float(np.sum(a))
+
+
+def _delta_difference(m):
+    """delta_0 - delta_m: all m roots on the circle."""
+    c = np.zeros(m + 1, dtype=complex)
+    c[0], c[m] = 1.0, -1.0
+    return c
+
+
+def _coarse_edge_roots(support, coarse_cells):
+    """Simple roots at (8 J + 4) h, on the edges between coarse cells."""
+    h = _cell_width(support)
+    return _planted_coeffs(np.random.default_rng(support), support,
+                           [((8 * k + 4) * h, 1, 1.0) for k in coarse_cells])
+
+
+def _grid_corpus():
+    rng = np.random.default_rng(21)
+    for support in (29, 30, 64, 100, 173, 257, 400, 1000):
+        for mults in ((1, 2), (3, 4), (5, 6)):
+            angles = [0.4 + 2.1 * i + float(rng.uniform(0, 0.5)) for i in range(len(mults))]
+            roots = [(t, m, float(rng.choice([1.0, 1 + 5e-9, 1 - 5e-9]))) for t, m in zip(angles, mults)]
+            yield f"planted-{support}-{mults}", _planted_coeffs(rng, support, roots), spectra.UNIMODULAR_TOL
+    for support in (60, 128, 257):
+        yield f"coarse-edges-{support}", _coarse_edge_roots(support, [3, 40, 41, 97]), spectra.UNIMODULAR_TOL
+    for t, m in [(1.0, 5), (2.5, 6)]:
+        yield f"fault-{m}", _fault_shape(t, m), spectra.UNIMODULAR_TOL
+    yield "z64-1", _delta_difference(64), 1e-2
+    for m in (64, 256, 1000):
+        yield f"delta-{m}", _delta_difference(m), spectra.UNIMODULAR_TOL
+
+
+GRID_CORPUS = list(_grid_corpus())
+
+
+def _count_ffts(monkeypatch):
+    """Record (length, transforms) of every np.fft.ifft from here on."""
+    calls = []
+    real = np.fft.ifft
+
+    def ifft(a, n=None, *args, **kwargs):
+        calls.append((n, int(np.prod(np.shape(a)[:-1]))))
+        return real(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", ifft)
+    return calls
+
+
+class TestTwoLevelGridTest:
+    @pytest.mark.parametrize("name, coeffs, tol", GRID_CORPUS, ids=[case[0] for case in GRID_CORPUS])
+    def test_same_mask_as_the_single_level_test(self, name, coeffs, tol, monkeypatch):
+        c = coeffs / np.max(np.abs(coeffs))
+        want = _ref_open_cells(c, tol)
+        assert np.array_equal(spectra._open_cells(c, tol), want)
+        # either way of summing the cells the coarse level leaves open; the
+        # gather is forced only up to degree 300, where its matrix of terms
+        # stays under 10 MB even with every cell open
+        monkeypatch.setattr(spectra, "_GATHER_LIMIT", 0)
+        assert np.array_equal(spectra._open_cells(c, tol), want)
+        if len(c) <= 301:
+            monkeypatch.setattr(spectra, "_GATHER_LIMIT", math.inf)
+            assert np.array_equal(spectra._open_cells(c, tol), want)
+
+    def test_few_open_cells_run_no_full_length_fft(self, monkeypatch):
+        coeffs = _planted_coeffs(np.random.default_rng(4), 200, [(1.0, 2, 1.0), (4.0, 1, 1.0)])
+        c = coeffs / np.max(np.abs(coeffs))
+        G = round(2 * math.pi / _cell_width(200))
+        calls = _count_ffts(monkeypatch)
+        assert 0 < spectra._open_cells(c, spectra.UNIMODULAR_TOL).sum() < 32
+        assert calls == [(G // 8, 7)]  # the coarse level alone
+
+    def test_all_open_fine_level_costs_no_more_than_full_length_ffts(self, monkeypatch):
+        c = _delta_difference(256)
+        G = round(2 * math.pi / _cell_width(257))
+        calls = _count_ffts(monkeypatch)
+        assert spectra._open_cells(c, spectra.UNIMODULAR_TOL).sum() == 256
+        coarse, *fine = calls
+        assert coarse == (G // 8, 7)
+        assert fine and all(n == G // 8 for n, _ in fine)
+        assert sum(n * k for n, k in fine) <= 4 * G  # the four G-point FFTs of one level
+
+
+# ---------------------------------------------------------------------------
+# local expansions with exact phases, and Newton on them
+
+
+def _exact_phase_expansion(c, q, G, K):
+    """b_k = z0^-k sum_n C(n, k) D^-k c_n z0^n at z0 = e^{i pi q / G}: each
+    phase reduced exactly in integers, each sum correctly rounded."""
+    D = len(c) - 1
+    out = np.empty((len(q), K + 1), dtype=complex)
+    for i, qi in enumerate(int(x) for x in q):
+        zn = [cmath.exp(1j * math.pi * (n * qi % (2 * G)) / G) for n in range(D + 1)]
+        for k in range(K + 1):
+            terms = [math.comb(n, k) / D ** k * c[n] * zn[n] for n in range(k, D + 1)]
+            total = complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms))
+            out[i, k] = total * cmath.exp(-1j * math.pi * (k * qi % (2 * G)) / G)
+    return out
+
+
+class TestExactPhaseExpansions:
+    def test_triple_roots_at_support_173_land_within_1e_10(self):
+        roots = [(2.0, 1, 1.0), (3.0, 3, 1.0), (3.25, 3, 1.0)]
+        coeffs = _planted_coeffs(np.random.default_rng(0), 173, roots)
+        _assert_planted(polynomial_circle_roots(coeffs), roots, tol=1e-10)
+
+    @pytest.mark.parametrize("coherent", [False, True])
+    def test_rows_match_exactly_reduced_phases(self, coherent):
+        # D = 255, centres near 2 pi and past it (a run across cell 0
+        # continues past G - 1); a coherent c, whose terms all add at z0,
+        # left 6.7e-14 sum |c| when phases came from the rounded n t0
+        D, K = 255, J
+        G = round(2 * math.pi / _cell_width(D + 1))
+        q = np.array([2 * G - 1, 2 * G - 17, 2 * G + 9, G + 1, 3])
+        if coherent:
+            c = np.exp(-1j * math.pi / G * (np.arange(D + 1) * q[0] % (2 * G))) * np.linspace(0.5, 1.0, D + 1)
+        else:
+            rng = np.random.default_rng(2)
+            c = rng.normal(size=D + 1) + 1j * rng.normal(size=D + 1)
+        local, z0 = spectra._local_expansions(c, q, G, K)
+        want = _exact_phase_expansion(c, q, G, K)
+        assert np.max(np.abs(local - want)) <= 1e-14 * np.sum(np.abs(c))
+        assert np.allclose(z0, [cmath.exp(1j * math.pi * (int(x) % (2 * G)) / G) for x in q], rtol=0, atol=1e-16)
