@@ -61,7 +61,6 @@ from .weights import (
     WeightSpec,
     analyze_weight,
     check_beurling_domar,
-    check_subquadratic,
     check_weight_axioms,
     classify_growth,
     eval_weight,

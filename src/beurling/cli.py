@@ -195,6 +195,11 @@ def _cmd_weight_check(args) -> int:
     w = weight_from_json(load_json_file(args.weight))
     report = analyze_weight(w, args.window, orbit=args.orbit,
                             terms=args.terms, n_max=args.nmax)
+    growth = report.growth
+    for field, values in (("Beurling-Domar partial sums", [s for _, s in report.beurling_domar.trace]),
+                          ("growth constants", [] if growth is None else [growth.c1, growth.c2])):
+        if not all(map(math.isfinite, values)):
+            raise NumericOverflowError(f"the {field} overflow the float range")
     payload = {
         "axiomsOk": report.axioms_ok,
         "violations": [
@@ -205,9 +210,8 @@ def _cmd_weight_check(args) -> int:
             "verdict": report.beurling_domar.verdict,
             "partialSums": [[m, s] for m, s in report.beurling_domar.trace],
         },
-        "growth": None if report.growth is None else {
-            "N": report.growth.N, "alpha": report.growth.alpha,
-            "c1": report.growth.c1, "c2": report.growth.c2,
+        "growth": None if growth is None else {
+            "N": growth.N, "alpha": growth.alpha, "c1": growth.c1, "c2": growth.c2,
         },
     }
     _emit(payload)

@@ -274,12 +274,8 @@ def spectrum_to_json(result: SpectrumResult) -> dict:
                 "grid": cert.grid,
             },
         }
-    if isinstance(result, Finite):
-        return {"verdict": "finite",
-                "points": [{"t": p.angle.t, "mult": p.multiplicity}
-                           for p in result.points]}
-    if isinstance(result, UpperBound):
-        return {"verdict": "upperBound",
+    if isinstance(result, (Finite, UpperBound)):
+        return {"verdict": "finite" if isinstance(result, Finite) else "upperBound",
                 "points": [{"t": p.angle.t, "mult": p.multiplicity}
                            for p in result.points]}
     raise TypeError(f"not a spectrum result: {result!r}")

@@ -6,14 +6,11 @@ class WindowError(ValueError):
 
 
 class DescriptorError(ValueError):
-    """A JSON descriptor failed to parse or validate.
-
-    ``location`` is a dotted path into the offending document.
-    """
+    """A JSON descriptor failed to parse or validate; the message starts
+    with ``location``, a dotted path into the offending document."""
 
     def __init__(self, message: str, location: str = "$"):
         super().__init__(f"{location}: {message}")
-        self.location = location
 
 
 class NumericOverflowError(ValueError):
@@ -22,11 +19,8 @@ class NumericOverflowError(ValueError):
 
 
 class AnnihilationError(ValueError):
-    """A candidate annihilator was rejected; carries the measured residuals."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = tuple(residuals or ())
+    """A candidate annihilator was rejected; the message lists the measured
+    residuals."""
 
 
 class DecompositionError(ValueError):
@@ -48,9 +42,5 @@ class IdealSaturationError(ValueError):
 
 
 class UnboundedSupportError(ValueError):
-    """A running sum escaped to infinite support; ``stage`` is the first
-    iteration at which the zero-mean requirement failed (1-based)."""
-
-    def __init__(self, message: str, stage: int):
-        super().__init__(message)
-        self.stage = stage
+    """A running sum escaped to infinite support: the transform does not
+    vanish at 0."""

@@ -62,30 +62,23 @@ def cumulative_P(s: Signal) -> CumSum:
     return CumSum(s)
 
 
-def k_transform(f: FinSeq, iterations: int = 1) -> FinSeq:
-    """Iterated running sum K f(n) = sum_{m <= n} f(m) on sequences.
+def k_transform(f: FinSeq) -> FinSeq:
+    """Running sum K f(n) = sum_{m <= n} f(m) on sequences.
 
-    Each application stays finitely supported exactly when the current
-    transform vanishes at 0 (total mass zero, by the sequence zero rule: at
-    most PRUNE_REL times sum |f(m)|); otherwise the running sum is
-    eventually constant and non-zero, and the stage index is reported.
+    It stays finitely supported exactly when the transform vanishes at 0
+    (total mass zero, by the sequence zero rule: at most PRUNE_REL times
+    sum |f(m)|); otherwise the running sum is eventually constant and
+    non-zero, and UnboundedSupportError is raised.  Iterate by nesting:
+    k_transform(k_transform(f)).
     """
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    cur = f
-    for stage in range(1, iterations + 1):
-        if not cur:
-            return cur
-        mass = complex(np.sum(cur._v))  # the transform at 0, before any dense span
-        if abs(mass) > PRUNE_REL * cur.abs_sum():
-            raise UnboundedSupportError(
-                f"transform at 0 is {mass} at stage {stage}; the running sum "
-                "does not stay finitely supported",
-                stage=stage,
-            )
-        lo, dense = cur._dense()
-        cur = FinSeq._from_dense(lo, np.cumsum(dense))  # prunes cancellation noise
-    return cur
+    if not f:
+        return f
+    mass = complex(np.sum(f._v))  # the transform at 0, before any dense span
+    if abs(mass) > PRUNE_REL * f.abs_sum():
+        raise UnboundedSupportError(
+            f"transform at 0 is {mass}; the running sum does not stay finitely supported")
+    lo, dense = f._dense()
+    return FinSeq._from_dense(lo, np.cumsum(dense))  # prunes cancellation noise
 
 
 def boundedness_probe(s: Signal, windows: Sequence[int]) -> BoundednessVerdict:

@@ -295,15 +295,11 @@ def weighted_norm(f: FinSeq, w) -> float:
         return float(np.sum(np.abs(f._v) * eval_weight(w, f._n)))
 
 
-def fourier_eval(f: FinSeq, t: float | CirclePoint, j: int = 0) -> complex:
-    """j-th derivative of the transform at t: sum_n f(n) (-in)^j e^{-int}."""
-    if j < 0:
-        raise ValueError("derivative order must be non-negative")
+def fourier_eval(f: FinSeq, t: float | CirclePoint) -> complex:
+    """The transform at t: sum_n f(n) e^{-int}."""
     tt = t.t if isinstance(t, CirclePoint) else float(t)
-    n = f._n.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
-        terms = f._v * np.exp(-1j * (n * tt)) * (n ** j * (1, -1j, -1, 1j)[j % 4])  # (-i)^j exactly
-        return complex(np.sum(terms))
+        return complex(np.sum(f._v * np.exp(-1j * (f._n.astype(float) * tt))))
 
 
 def fourier_grid(f: FinSeq, points: int = 4096) -> tuple[np.ndarray, np.ndarray]:

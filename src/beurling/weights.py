@@ -11,9 +11,9 @@ with the sups taken over a finite window (an under-approximation of the
 group-wide sup, documented as such).
 
 The diagnostics are honest about finite evidence: convergence of
-sum_m log w(m x)/m^2 (the Beurling-Domar condition) and the decay of
-w(m x)/m^2 are undecidable from finitely many samples, so those probes
-return holds / fails / inconclusive verdicts with their witness traces.
+sum_m log w(m x)/m^2 (the Beurling-Domar condition) is undecidable from
+finitely many samples, so that probe returns a holds / fails /
+inconclusive verdict with its witness trace.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def _orbit_logs(w: WeightSpec, x: int, first: int, last: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceVerdict:
-    """Outcome of a finite-evidence convergence/decay probe, with the
-    witness trace of (m, value) checkpoints."""
+    """Outcome of a finite-evidence convergence probe, with the witness
+    trace of (m, value) checkpoints."""
 
     verdict: Verdict
     trace: tuple[tuple[int, float], ...]
@@ -316,32 +316,6 @@ def check_beurling_domar(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
         slope = _slopes(np.log(tail_m[positive]), np.log(tail_t[positive]))
         if slope <= -1.1 and terms[-1] <= 1e-3 * peak:
             return ConvergenceVerdict("holds", trace)
-    return ConvergenceVerdict("inconclusive", trace)
-
-
-@_quiet
-def check_subquadratic(w: WeightSpec, x: int, M: int) -> ConvergenceVerdict:
-    """Probe the decay w(m x)/m^2 -> 0 used by the difference-derived weights.
-
-    holds when the last decade is non-increasing and the final value is
-    below 0.01; fails when the tail is clearly increasing and large.
-    """
-    if x == 0:
-        raise ValueError("orbit direction x must be non-zero")
-    if M < 10:
-        raise ValueError("need at least 10 terms")
-    logs = _orbit_logs(w, x, 1, M)
-    top = len(logs)
-    vals = np.where(np.isfinite(logs), np.exp(logs - 2.0 * np.log(np.arange(1, top + 1))), np.inf)
-    trace = _trace(vals)
-    if top < 10:
-        return ConvergenceVerdict("inconclusive", trace)
-    tail = vals[max(0, top // 10 - 1):]
-    nonincreasing = bool(np.all(tail[1:] <= tail[:-1] * (1.0 + 1e-12)))
-    if nonincreasing and tail[-1] < 1e-2:
-        return ConvergenceVerdict("holds", trace)
-    if tail[-1] > tail[0] * (1.0 + 1e-9) and tail[-1] > 1e-2:
-        return ConvergenceVerdict("fails", trace)
     return ConvergenceVerdict("inconclusive", trace)
 
 

@@ -55,6 +55,23 @@ class TestWeightCheck:
         code, out = run(capsys, "weight", "check", "--weight", path, "--window", "5")
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("weight, field", [
+        ({"kind": "signalDerived", "supWindow": 47,
+          "signal": {"kind": "cumsum", "inner": {"kind": "geometric", "ratio": 4.41}}},
+         "Beurling-Domar partial sums"),
+        ({"kind": "product", "left": {"kind": "table", "halfWindow": 1000, "values": [1e308] * 1001},
+          "right": {"kind": "table", "halfWindow": 1000, "values": [1e308] * 1001}},
+         "growth constants"),
+    ])
+    def test_non_finite_report_is_reported_as_overflow(self, tmp_path, capsys, weight, field):
+        path = write(tmp_path, "w.json", weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape
+            code = main(["weight", "check", "--weight", path, "--window", "10", "--terms", "500"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert f"the {field} overflow the float range" in captured.err
+
     def test_overflowing_weight_checks_in_log_space(self, tmp_path, capsys):
         # 2^n + 2^-n overflows a float from n = 1024 on
         path = write(tmp_path, "w.json", {"kind": "exponential", "base": 2})
@@ -206,6 +223,29 @@ class TestDecompose:
         sig = write(tmp_path, "s.json", signal_to_json(noise))
         code, out = run(capsys, "decompose", "--signal", sig)
         assert code == 1 and out == ""
+
+
+    @pytest.mark.parametrize("peak, tol, want", [
+        (1e308, "1e300", None),
+        (1e308, "1e-8", "residual sup 1.587e+294 is not below tolerance"),
+        (1.7976931348623157e308, "1e300", "a recovered coefficient overflows the float range"),
+    ])
+    def test_samples_near_the_float_limit(self, tmp_path, capsys, peak, tol, want):
+        # peak e^{i pi n}: recovery runs on the samples over a power of two,
+        # so no step overflows; the residual and the coefficient are scaled back
+        sig = write(tmp_path, "t.json",
+                    {"kind": "table", "start": 0, "values": [[peak * (-1) ** n, 0] for n in range(52)]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may escape
+            code = main(["decompose", "--signal", sig, "--kmax", "1", "--nmax", "0", "--tol", tol])
+        captured = capsys.readouterr()
+        if want is None:
+            [term] = json.loads(captured.out)["terms"]
+            assert code == 0 and term["t"] == pytest.approx(np.pi)
+            assert term["coeffs"][0][0] == pytest.approx(peak, rel=1e-12)
+        else:
+            assert (code, captured.out) == (1, "")
+            assert want in captured.err
 
 
 class TestIntegrate:

@@ -56,24 +56,23 @@ class TestCumulativeP:
 
 class TestKTransform:
     def test_difference_integrates_to_delta(self):
-        assert k_transform(delta(0) - delta(1), 1) == delta(0)
+        assert k_transform(delta(0) - delta(1)) == delta(0)
 
     def test_unit_mass_fails_at_stage_one(self):
-        with pytest.raises(UnboundedSupportError) as err:
-            k_transform(delta(0), 1)
-        assert err.value.stage == 1
+        with pytest.raises(UnboundedSupportError):
+            k_transform(delta(0))
 
     def test_double_zero_supports_two_iterations(self):
         f = FinSeq({0: 1, 1: -2, 2: 1})
-        out = k_transform(f, 2)
+        out = k_transform(k_transform(f))
         assert out == delta(0)
         assert abs(fourier_eval(out, 0.0)) > 0.5
 
     def test_failure_stage_reported(self):
-        f = delta(0) - delta(1)  # single zero: second iteration must fail
-        with pytest.raises(UnboundedSupportError) as err:
-            k_transform(f, 2)
-        assert err.value.stage == 2
+        f = delta(0) - delta(1)  # single zero: the second application raises
+        once = k_transform(f)
+        with pytest.raises(UnboundedSupportError):
+            k_transform(once)
 
     def test_matches_difference_inverse(self):
         # K f(n) = sum_{m<=n} (g(m-1) - g(m)) telescopes to -g(n)
@@ -81,7 +80,7 @@ class TestKTransform:
         g = FinSeq({int(n): complex(v) for n, v in
                     zip(rng.integers(-5, 6, 4), rng.standard_normal(4))})
         f = g.shift(1) - g
-        assert k_transform(f, 1) == -1 * g
+        assert k_transform(f) == -1 * g
 
 
 class TestBoundednessProbe:

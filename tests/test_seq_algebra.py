@@ -163,17 +163,6 @@ class TestFourier:
         for t in (0.0, 1.0, 3.0):
             assert fourier_eval(delta(0), t) == pytest.approx(1.0)
 
-    def test_second_derivative(self):
-        f = FinSeq({0: 1, 1: -2, 2: 1})  # transform (1 - e^{-it})^2
-        assert fourier_eval(f, 0.0, 2) == pytest.approx(-2.0)
-
-    def test_derivative_matches_finite_difference(self):
-        f = FinSeq({-2: 1j, 0: 0.5, 3: -1})
-        h = 1e-6
-        for t in (0.3, 2.0):
-            numeric = (fourier_eval(f, t + h) - fourier_eval(f, t - h)) / (2 * h)
-            assert fourier_eval(f, t, 1) == pytest.approx(numeric, abs=1e-6)
-
     @given(nonzero_finseqs, nonzero_finseqs, st.floats(0, 2 * math.pi - 1e-9))
     def test_transform_multiplicative(self, f, g, t):
         lhs = fourier_eval(convolve(f, g), t)

@@ -458,6 +458,17 @@ class TestDesignParity:
                 outcomes.append(want)
         assert any(o.startswith("DecompositionError") for o in outcomes)  # errors are compared too
 
+    @pytest.mark.parametrize("amplitude", [1e-3, 0.1, 3.0, 1e3])
+    def test_scaled_recovery_matches_the_unscaled_reference(self, amplitude):
+        # recovery divides the samples by a power of two near their peak;
+        # at ordinary amplitudes that changes no bit of any outcome
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for _ in range(3):
+                table = sample_signal(random_exppoly(rng, 3, 2), -60, 60)
+                samples = TableSignal(table.start, table.values * amplitude)
+                assert _outcome(decompose_finite_spectrum, samples) == _outcome(_ref_decompose, samples), seed
+
 
 class TestCalculusLaws:
     def test_polynomial_character_laws(self):
@@ -754,6 +765,21 @@ class TestLocalCircleRoots:
         assert angles_of(hull) == pytest.approx([t for t, _ in want], abs=1e-8)
         assert [p.multiplicity for p in hull.points] == [m for _, m in want]
         assert elapsed < 0.3
+
+    def test_three_triple_roots_at_support_47(self):
+        # a falsifying example of the companion-finder property below: the
+        # companion finder misplaces the root at 6.0 by 1.5e-9, but every
+        # cluster found here is within 1e-6 of its planted root
+        roots = [(0.0, 3, 1 + 5e-9), (5.75, 3, 1.0), (6.0, 3, 1.0)]
+        coeffs = _planted_coeffs(np.random.default_rng(1), 47, roots)
+        _assert_planted(polynomial_circle_roots(coeffs), roots)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: two triple roots 0.25 apart at "
+                                           "support 30 come back as 2 of the 3 clusters")
+    def test_three_triple_roots_at_support_30(self):
+        roots = [(0.0, 3, 1.0), (5.75, 3, 1.0), (6.0, 3, 1.0)]
+        coeffs = _planted_coeffs(np.random.default_rng(0), 30, roots)
+        _assert_planted(polynomial_circle_roots(coeffs), roots)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -26,7 +26,7 @@ EXPORTS = [
     "UnboundedSupportError", "UpperBound", "WeightReport", "WeightSpec", "WindowError",
     "add_signals", "analyze_weight", "angles_of", "angles_within", "annihilate",
     "boundedness_probe", "check_beurling_domar", "check_calculus_laws",
-    "check_subquadratic", "check_weight_axioms", "circle_distance", "classify_growth",
+    "check_weight_axioms", "circle_distance", "classify_growth",
     "classify_primary_ideal", "constant_signal", "convolve", "convolve_cyclic",
     "cumulative_P", "decompose_finite_spectrum", "default_probes", "degree",
     "degree_with_witness", "delta", "dft", "difference_seq", "difference_signal",

@@ -18,7 +18,6 @@ from beurling.weights import (
     TableWeight,
     analyze_weight,
     check_beurling_domar,
-    check_subquadratic,
     check_weight_axioms,
     classify_growth,
     eval_weight,
@@ -142,20 +141,6 @@ def ref_beurling_domar(w, x, M):
     return "inconclusive", trace
 
 
-def ref_subquadratic(w, x, M):
-    vals = [math.exp(lw - 2.0 * math.log(m)) if math.isfinite(lw) else float("inf")
-            for m, lw in enumerate(_ref_logs(w, [m * x for m in range(1, M + 1)]), 1)]
-    trace = [(m, vals[m - 1]) for m in _checkpoints(len(vals))]
-    if len(vals) < 10:
-        return "inconclusive", trace
-    tail = vals[max(0, len(vals) // 10 - 1):]
-    if all(b <= a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:])) and tail[-1] < 1e-2:
-        return "holds", trace
-    if tail[-1] > tail[0] * (1.0 + 1e-9) and tail[-1] > 1e-2:
-        return "fails", trace
-    return "inconclusive", trace
-
-
 def ref_growth(w, n_max, window):
     logs = dict(enumerate(_ref_logs(w, range(window + 1))))
     top = max(logs)
@@ -269,12 +254,10 @@ class TestParityWithScalarReference:
     @pytest.mark.parametrize("x", [1, -2])
     def test_probes(self, name, x):
         w = CORPUS[name]
-        for probe, ref in ((check_beurling_domar, ref_beurling_domar),
-                           (check_subquadratic, ref_subquadratic)):
-            got, (verdict, trace) = probe(w, x, 300), ref(w, x, 300)
-            assert got.verdict == verdict
-            assert [m for m, _ in got.trace] == [m for m, _ in trace]
-            assert all(close(a, b) for (_, a), (_, b) in zip(got.trace, trace))
+        got, (verdict, trace) = check_beurling_domar(w, x, 300), ref_beurling_domar(w, x, 300)
+        assert got.verdict == verdict
+        assert [m for m, _ in got.trace] == [m for m, _ in trace]
+        assert all(close(a, b) for (_, a), (_, b) in zip(got.trace, trace))
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_growth(self, name):
@@ -469,18 +452,6 @@ class TestGrowthClass:
             w = eval_weight(PowerWeight(1.3), m)
             assert g.c1 * (1 + m ** g.N) <= w * (1 + 1e-9)
             assert w <= g.c2 * (1 + m ** (g.N + g.alpha)) * (1 + 1e-9)
-
-
-class TestSubquadratic:
-    def test_signal_derived_holds(self):
-        w = SignalDerivedWeight(linear_signal(), 100)
-        assert check_subquadratic(w, 1, 1000).verdict == "holds"
-
-    def test_linear_power_holds(self):
-        assert check_subquadratic(PowerWeight(1), 1, 1000).verdict == "holds"
-
-    def test_exponential_fails(self):
-        assert check_subquadratic(ExponentialWeight(2), 1, 100).verdict == "fails"
 
 
 class TestAnalyze:
