@@ -23,10 +23,14 @@ circle free of roots within the acceptance band in two levels: coarse
 cells of eight grid cells get sixth-order Taylor bounds from G/8-point
 FFTs, and only the cells of the coarse cells left open get third-order
 bounds.  Short pieces of the cells it leaves open each get a Taylor
-eigenproblem of at most LOCAL_ORDER, just large enough that its tail stays
-below the rounding of its coefficients, so no D x D eigenproblem is
-formed; a root found there is polished by Newton on its piece's Taylor
-polynomial.
+expansion of order at most LOCAL_ORDER, just large enough that its tail
+stays below the rounding of its coefficients.  The argument principle on
+each piece's disc, one batch of FFTs over all pieces, counts the roots
+inside and gives their power sums, so a piece solves only a polynomial of
+that count's degree, and none when it holds no root; a piece with a root
+next to its contour solves its Taylor polynomial's companion matrix.  No
+D x D eigenproblem is formed, and a root found is polished by Newton on
+its piece's Taylor polynomial.
 
 Empty verdicts always carry a certificate: a member of the ideal whose
 transform is bounded away from zero on a grid.
@@ -97,8 +101,9 @@ CERTIFICATE_GRID = 4096
 COND_THRESHOLD = 1e10
 
 #: Degree up to which circle roots come from the whole polynomial's
-#: companion matrix, and the largest order of a local Taylor problem above
-#: it: at this degree a local expansion would be the whole polynomial anyway.
+#: companion matrix, and the largest order of a piece's Taylor expansion
+#: above it: at this degree a local expansion would be the whole polynomial
+#: anyway.
 #: Routing every degree through the local route gave the same `thm-4.4`
 #: verdicts on seeds 0-99, but a `recovery` benchmark "recover" request
 #: (a recurrence of order <= 9) took 1.53-1.57 ms in place of 1.03 ms
@@ -133,18 +138,31 @@ _COARSE = 8
 #: 40 rounds, three alternations, on the machine named at LOCAL_ORDER).
 _GATHER_LIMIT = 2
 
-#: Open cells per local problem: a wider piece would push D rho, and with
-#: it the Taylor order its tail needs, up; a narrower one costs more
-#: eigenproblems.
+#: Open cells per piece: a wider piece would push D rho, and with it the
+#: Taylor order its tail needs, up; a narrower one costs more pieces, each
+#: a contour count, and puts more roots next to a contour, where a piece
+#: falls back to its companion matrix (see _CONTOUR_POINTS).
 PIECE_CELLS = 16
 
-#: The Taylor tail (D rho)^(K+1)/(K+1)!, relative to sum |c|, that a local
-#: problem may leave: eps/16, below the rounding of its coefficients b_k,
-#: which are sums of D + 1 terms of size up to |c_n|.  Each piece solves the
-#: least order K whose tail is no larger, capped at LOCAL_ORDER; the cap
+#: The Taylor tail (D rho)^(K+1)/(K+1)!, relative to sum |c|, that a
+#: piece's expansion may leave: eps/16, below the rounding of its
+#: coefficients b_k, which are sums of D + 1 terms of size up to |c_n|.
+#: Each piece expands to the least order K whose tail is no larger,
+#: capped at LOCAL_ORDER; the cap
 #: binds only from D rho = 3.06 on, past the 2.3 any piece reaches up to
 #: degree 256.
 _LOCAL_TAIL = np.finfo(float).eps / 16
+
+#: Points on each piece's contour for its argument-principle root count
+#: (see _contour_counts).  A piece falls back to its companion matrix when
+#: the N- and N/2-point rules disagree, which only a root within about
+#: ln(1e8)/(N/2) of the contour, relative to the reach, brings about.  At
+#: N = 256, 20 of the 1247 pieces of `hulls` benchmark rounds at seeds 0-19
+#: fell back, and 339 of the 12453 pieces of 600 random planted polynomials
+#: (supports 29-399, 1-4 roots of multiplicity 1-4 at radii 1 and
+#: 1 -+ 5e-9); at N = 512, 0 and 206.  Both N cost the same on a `hulls`
+#: round, and 512 made z^1000 - 1 about 9% dearer (124 ms, not 114).
+_CONTOUR_POINTS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +392,69 @@ def _taylor_order(reach: float) -> int:
     return LOCAL_ORDER
 
 
+def _contour_counts(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power sums sigma[i, m] = sum u^m over the roots u of
+    g_i(u) = sum_k scaled[i, k] u^k inside |u| < 1, by the argument
+    principle on N = _CONTOUR_POINTS points of the circle, and each row's
+    root count, or -1 where the count is not trusted.
+
+    sigma = ifft(u g'/g), and the rule on the even points alone gives
+    sigma[m] + sigma[m + N/2]; a row is trusted when sigma_0 is finite,
+    M = round(sigma_0) is less than the row length, and sigma_0..sigma_M agree
+    between the two rules within 1e-8 max(1, |sigma_m|).  A root at
+    |u| = 1 - d or 1/(1 - d) puts about (1 - d)^(N/2) into that difference,
+    so only a root within d = ln(1e8)/(N/2) of the circle, 0.14 at N = 256,
+    can make a row distrusted."""
+    N, width = _CONTOUR_POINTS, scaled.shape[1]
+    g = np.fft.ifft(scaled, N, axis=1)
+    ug = np.fft.ifft(scaled * np.arange(width), N, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.fft.ifft(ug / g, axis=1)
+    # agree[i, m]: the two rules agree on sigma_0..sigma_m
+    agree = np.abs(sigma[:, N // 2:N // 2 + width]) <= 1e-8 * np.maximum(1.0, np.abs(sigma[:, :width]))
+    agree = np.logical_and.accumulate(agree, axis=1)
+    M = np.rint(sigma[:, 0].real)
+    ok = np.isfinite(sigma[:, 0]) & (M >= 0) & (M < width)
+    M = np.where(ok, M, -1).astype(int)
+    ok[ok] = agree[ok, M[ok]]
+    return sigma, np.where(ok, M, -1)
+
+
 def _local_roots(local: np.ndarray, reach: Sequence[float]) -> list[np.ndarray]:
-    """Roots v of sum_k local[i, k] v^k, k <= K_i = _taylor_order(reach[i]),
-    for each row i: one stacked companion eigenproblem per order, or
-    np.roots, which drops a zero leading coefficient, where local[i, K_i] = 0."""
+    """Roots v, |v| <= reach[i], of sum_k local[i, k] v^k, k <= K_i =
+    _taylor_order(reach[i]), for each row i.  A row whose root count M on
+    |v| = reach[i] is trusted (see _contour_counts) solves only the monic
+    degree-M polynomial that Newton's identities build from its power sums,
+    and none when M = 0.  The other rows solve their order-K_i companion
+    matrix, or np.roots, which drops a zero leading coefficient, where
+    local[i, K_i] = 0.  Companion matrices of one degree are stacked into
+    one eigenproblem."""
     orders = [_taylor_order(x) for x in reach]
-    out = [None] * len(orders)
-    for K in set(orders):
-        rows = [i for i, k in enumerate(orders) if k == K and local[i, K] != 0]
-        companion = np.zeros((len(rows), K, K), dtype=complex)
-        companion[:, 1:, :-1] = np.eye(K - 1)
-        companion[:, 0, :] = -local[rows, K - 1::-1] / local[rows, K, None]
-        for i, v in zip(rows, np.linalg.eigvals(companion)):
-            out[i] = v
-    for i, K in enumerate(orders):
-        if out[i] is None:
+    width = max(orders) + 1
+    k = np.arange(width)
+    scaled = np.where(k <= np.array(orders)[:, None],
+                      local[:, :width] * np.asarray(reach, dtype=float)[:, None] ** k, 0)
+    sigma, counts = _contour_counts(scaled)
+    out = [np.empty(0, dtype=complex)] * len(orders)
+    stacks = {}  # degree -> [(row, first companion row, scale of its eigenvalues)]
+    for i, (M, K) in enumerate(zip(counts.tolist(), orders)):
+        if M > 0:
+            s = sigma[i, :M + 1].tolist()
+            e = [1.0 + 0j]  # e[j]: coefficient of u^(M - j)
+            for j in range(1, M + 1):
+                e.append(-sum(e[j - l] * s[l] for l in range(1, j + 1)) / j)
+            stacks.setdefault(M, []).append((i, [-x for x in e[1:]], reach[i]))
+        elif M < 0 and local[i, K] != 0:
+            stacks.setdefault(K, []).append((i, -local[i, K - 1::-1] / local[i, K], 1.0))
+        elif M < 0:
             out[i] = np.roots(local[i, K::-1])
-    return out
+    for d, rows in stacks.items():
+        companion = np.zeros((len(rows), d, d), dtype=complex)
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, 0, :] = [row for _, row, _ in rows]
+        for (i, _, scale), v in zip(rows, np.linalg.eigvals(companion)):
+            out[i] = scale * v
+    return [v[np.abs(v) <= x] for v, x in zip(out, reach)]
 
 
 def _local_expansions(c: np.ndarray, q: np.ndarray, G: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,10 +476,11 @@ def _local_expansions(c: np.ndarray, q: np.ndarray, G: int, K: int) -> tuple[np.
 
 def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex, int]]:
     """Circle roots of a polynomial of degree D > LOCAL_ORDER: a grid test
-    closes root-free cells, and each piece of the open runs gets one Taylor
-    eigenproblem at its centre, of the least order whose tail stays within
-    _LOCAL_TAIL (at most LOCAL_ORDER).  Each cluster a piece claims is
-    polished by Newton on that piece's Taylor polynomial."""
+    closes root-free cells, and each piece of the open runs gets a Taylor
+    expansion at its centre, of the least order whose tail stays within
+    _LOCAL_TAIL (at most LOCAL_ORDER), whose roots within its reach
+    _local_roots finds.  Each cluster a piece claims is polished by Newton
+    on that piece's Taylor polynomial."""
     D = len(c) - 1
     open_cells = _open_cells(c, unimod_tol)
     G = open_cells.size
@@ -438,7 +503,7 @@ def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex,
     claims = []
     for i, (piece, t0, v) in enumerate(zip(pieces, centres, _local_roots(local, reach))):
         half = piece.size * h / 2
-        z = z0[i] + v[np.abs(v) <= reach[i]] / D
+        z = z0[i] + v / D
         for center, mult in _cluster_roots(z):
             d = (cmath.phase(center) - t0 + math.pi) % (2 * math.pi) - math.pi
             if -half - mu <= d < half + mu:
@@ -464,8 +529,9 @@ def polynomial_circle_roots(
     Up to degree LOCAL_ORDER the whole polynomial's companion-matrix
     eigenvalues are clustered.  Above it a grid test on the circle proves
     most cells root-free, and short pieces of the remaining cells each get
-    a Taylor eigenproblem of order at most LOCAL_ORDER whose clusters are
-    kept by the piece that owns their angle.  Cluster centres within reach
+    a Taylor expansion of order at most LOCAL_ORDER; the roots within its
+    reach, counted by the argument principle, form clusters that are kept
+    by the piece that owns their angle.  Cluster centres within reach
     of the circle are refined by Newton steps on the appropriate derivative,
     of the whole polynomial or of the piece's Taylor polynomial, and kept
     when ||z| - 1| < unimod_tol.

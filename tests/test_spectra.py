@@ -694,6 +694,51 @@ def _assert_planted(got, roots, tol=1e-6):
         assert any(k == m and abs(z - r * cmath.exp(1j * t)) <= tol for z, k in got), (t, m, got)
 
 
+def _item_2(reason):
+    return pytest.mark.xfail(strict=True, reason="ROADMAP item 2: " + reason)
+
+
+_LOW, _HIGH = 1 - 5e-9, 1 + 5e-9
+_SCATTERED = "the triple roots at 1.0 and 1.203 scatter past ROOT_CLUSTER_RADIUS: 2 of the 4 clusters"
+_COMPANION_LOSES = "all 3 triple roots come back, the companion finder gives 2"
+_POLISH = ("a triple root lands 1.2e-9-1.4e-9 from its planted root, past ANGULAR_TOL "
+           "from the companion finder's")
+_ITEM_2_EXAMPLES = [
+    pytest.param(295, [(1.0, 3, _LOW), (0.5, 3, 1.0), (1.90625, 3, 1.0), (1.203125, 3, 1.0)], 0,
+                 marks=_item_2(_SCATTERED), id="295-four-triples"),
+    pytest.param(284, [(2.0, 3, _LOW), (2.5, 3, _HIGH), (3.90625, 2, _LOW), (2.203125, 3, _LOW)], 1,
+                 marks=_item_2("3 of the 4 clusters, the companion finder 2"), id="284-four-clusters"),
+    pytest.param(281, [(3.0, 3, _LOW), (2.5, 3, _LOW), (3.90625, 1, _HIGH), (2.203125, 2, 1.0)], 7,
+                 marks=_item_2(_POLISH), id="281-four-clusters"),
+    pytest.param(30, [(0.0, 3, 1.0), (0.25, 3, 1.0), (0.5, 3, 1.0)], 0,
+                 marks=_item_2(_COMPANION_LOSES), id="30-from-0-r1"),
+    pytest.param(30, [(0.0, 3, _LOW), (0.25, 3, _LOW), (0.5, 3, _LOW)], 0, id="30-from-0-inside"),
+    pytest.param(30, [(0.0, 3, _HIGH), (0.25, 3, _HIGH), (0.5, 3, _HIGH)], 0,
+                 marks=_item_2(_COMPANION_LOSES), id="30-from-0-outside"),
+    pytest.param(30, [(1.5, 3, 1.0), (1.75, 3, 1.0), (2.0, 3, 1.0)], 0,
+                 marks=_item_2("2 of the 3 clusters, from both finders"), id="30-from-1.5-r1"),
+    pytest.param(30, [(1.5, 3, _LOW), (1.75, 3, _LOW), (2.0, 3, _LOW)], 0,
+                 marks=_item_2(_COMPANION_LOSES), id="30-from-1.5-inside"),
+    pytest.param(30, [(1.5, 3, _HIGH), (1.75, 3, _HIGH), (2.0, 3, _HIGH)], 0,
+                 marks=_item_2(_COMPANION_LOSES), id="30-from-1.5-outside"),
+    pytest.param(210, [(1.5, 3, _LOW), (1.0, 3, _HIGH), (1.25, 3, _LOW)], 14,
+                 marks=_item_2(_COMPANION_LOSES), id="210-three-triples"),
+    pytest.param(207, [(1.5, 3, _LOW), (2.0, 3, _LOW), (1.25, 3, _LOW)], 15,
+                 marks=_item_2("the triple root at 1.5 lands 5.1e-9 from its planted root, past "
+                               "ANGULAR_TOL from the companion finder's"), id="207-three-triples"),
+    pytest.param(194, [(0.15194866117357494, 3, _LOW), (0.5285052183405863, 3, _LOW),
+                       (6.130604331190337, 3, _LOW)], 724,
+                 marks=_item_2("the triple root at 0.152 lands 4.1e-9 from its planted root and "
+                               "2e-9 from the companion finder's"), id="194-three-triples"),
+    pytest.param(29, [(1.5, 3, 1.0), (1.8311181321428476, 3, 1.0), (2.0789531162854655, 3, 1.0)], 232,
+                 marks=_item_2("2 of the 3 clusters from the whole polynomial's companion matrix"),
+                 id="29-three-triples"),
+] + [
+    pytest.param(56, [(0.0, 3, r), (6.0, 3, r), (5.5, 3, r)], 0, marks=_item_2(_POLISH), id=f"56-{name}")
+    for name, r in [("r1", 1.0), ("inside", _LOW), ("outside", _HIGH)]
+]
+
+
 class TestLocalCircleRoots:
     @pytest.mark.parametrize("support", [J + 2, 100, 257])
     def test_simple_root_on_a_half_cell(self, support):
@@ -781,6 +826,15 @@ class TestLocalCircleRoots:
         coeffs = _planted_coeffs(np.random.default_rng(0), 30, roots)
         _assert_planted(polynomial_circle_roots(coeffs), roots)
 
+    @pytest.mark.parametrize("support, roots, seed", _ITEM_2_EXAMPLES)
+    def test_recorded_companion_finder_examples(self, support, roots, seed):
+        # falsifying examples of the property below, listed under ROADMAP
+        # item 2, with the property's two assertions
+        coeffs = _planted_coeffs(np.random.default_rng(seed), support, roots)
+        got = polynomial_circle_roots(coeffs)
+        _assert_same_roots(got, _on_circle(_ref_polished(coeffs)))
+        _assert_planted(got, roots)
+
     @settings(max_examples=40, deadline=None)
     @given(
         support=st.integers(J + 1, 300),
@@ -841,6 +895,27 @@ def _count_eigenproblems(monkeypatch):
     return orders
 
 
+def _record_local_problems(monkeypatch):
+    """Record [local, reach, counts] for every _local_roots call from here
+    on: its Taylor rows, their reaches and each row's contour count, -1 for
+    a row that fell back to its companion matrix."""
+    calls = []
+    real_roots, real_counts = spectra._local_roots, spectra._contour_counts
+
+    def local_roots(local, reach):
+        calls.append([local.copy(), list(reach), None])
+        return real_roots(local, reach)
+
+    def contour_counts(scaled):
+        sigma, counts = real_counts(scaled)
+        calls[-1][2] = counts.tolist()
+        return sigma, counts
+
+    monkeypatch.setattr(spectra, "_local_roots", local_roots)
+    monkeypatch.setattr(spectra, "_contour_counts", contour_counts)
+    return calls
+
+
 class TestCellTestAndTaylorOrder:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -879,21 +954,19 @@ class TestCellTestAndTaylorOrder:
     @pytest.mark.parametrize("support", [J + 2, 60, 128, 200, 257])
     def test_every_piece_solves_its_own_order(self, support, monkeypatch):
         # up to degree 256 every piece has D rho <= 2.3, so every order,
-        # capped ones included, leaves a tail within _LOCAL_TAIL
-        reaches = []
-        real = spectra._local_roots
-
-        def recorded(local, reach):
-            reaches.extend(reach)
-            return real(local, reach)
-
-        monkeypatch.setattr(spectra, "_local_roots", recorded)
+        # capped ones included, leaves a tail within _LOCAL_TAIL; a piece
+        # with a trusted contour count M solves degree M (nothing for M = 0),
+        # one that fell back its Taylor order
+        calls = _record_local_problems(monkeypatch)
         orders = _count_eigenproblems(monkeypatch)
         roots = [(0.5, 2, 1.0), (2.0, 1, 1 + 5e-9), (4.0, 5, 1.0)]
         coeffs = _planted_coeffs(np.random.default_rng(support), support, roots)
         polynomial_circle_roots(coeffs)
+        reaches = [x for _, reach, _ in calls for x in reach]
+        counts = [M for _, _, c in calls for M in c]
         want = [spectra._taylor_order(x) for x in reaches]
-        assert sorted(orders) == sorted(want)
+        assert sorted(orders) == sorted([M for M in counts if M > 0]
+                                        + [K for K, M in zip(want, counts) if M < 0])
         assert all(x <= 2.3 for x in reaches)
         assert all(x ** (K + 1) / math.factorial(K + 1) <= spectra._LOCAL_TAIL * (1 + 1e-12)
                    for x, K in zip(reaches, want))
@@ -908,9 +981,11 @@ class TestCellTestAndTaylorOrder:
         got = spectra._local_roots(local, reach)
         for row, x, v in zip(local, reach, got):
             want = np.roots(row[spectra._taylor_order(x)::-1])
+            want = want[np.abs(want) < x]  # only the roots inside the contour come back
             assert len(v) == len(want)
             assert np.allclose(np.sort_complex(v), np.sort_complex(want), rtol=1e-9, atol=1e-12)
-        assert len(got[1]) == K - 1
+        # no root inside, one inside, and five inside with one 3% from the contour
+        assert [len(v) for v in got] == [0, 1, 5]
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n_gens=st.integers(1, 2))
@@ -939,12 +1014,18 @@ class TestCellTestAndTaylorOrder:
 
     def test_multiple_roots_solve_few_local_eigenproblems(self, monkeypatch):
         # a work count, not a timing: multiplicities 5 and 6 at support 128
-        # solved 46 local eigenproblems of order 28 under a second-order cell
-        # test with one order for every piece
+        # solved 27 local eigenproblems of orders 23-24 when every piece took
+        # its Taylor order, though 25 of them held no root inside their reach;
+        # with contour counts they solve orders 5, 5 and 6, and the one piece
+        # that falls back its order 23
+        calls = _record_local_problems(monkeypatch)
         orders = _count_eigenproblems(monkeypatch)
         for t, m in [(1.0, 5), (2.5, 6)]:
             polynomial_circle_roots(_fault_shape(t, m))
-        assert len(orders) <= 27
+        fell_back = sum(M < 0 for _, _, c in calls for M in c)
+        assert fell_back <= 1
+        assert len(orders) <= 4
+        assert sum(k > 6 for k in orders) <= fell_back
         assert max(orders) <= J
 
     def test_horner_is_polyval_bit_for_bit(self):
@@ -956,6 +1037,98 @@ class TestCellTestAndTaylorOrder:
             want = P.polyval(np.complex128(z), c)
             got = spectra._horner(high_first, z)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+# ---------------------------------------------------------------------------
+# contour counts against the companion matrix of each local problem
+
+
+def _companion_inside(row, x):
+    """Roots of the row's order-K Taylor polynomial, K = _taylor_order(x),
+    from its companion matrix, that lie within the reach x."""
+    v = np.roots(row[spectra._taylor_order(x)::-1])
+    return v[np.abs(v) <= x]
+
+
+def _cut_problems(support, seed, m, r):
+    """Taylor rows, reaches and degree of the two 16-cell pieces that
+    _local_circle_roots would build around the cut at (j - 1/2) h, with a
+    root of multiplicity m at radius r planted on that cut."""
+    h = _cell_width(support)
+    G, D = round(2 * math.pi / h), support - 1
+    j = int(np.random.default_rng(seed).integers(16, G - 16))
+    coeffs = _planted_coeffs(np.random.default_rng(seed), support, [((j - 0.5) * h, m, r)])
+    c = coeffs / np.max(np.abs(coeffs))
+    reach = [D * (8 * h + h + 2 * spectra.ROOT_CLUSTER_RADIUS)] * 2
+    q = np.array([2 * j - 17, 2 * j + 15])  # cells j - 16..j - 1 and j..j + 15
+    local, _ = spectra._local_expansions(c, q, G, spectra._taylor_order(reach[0]))
+    return local, reach, D
+
+
+def _local_problems(coeffs, unimod_tol=spectra.UNIMODULAR_TOL):
+    """The (local, reach) pairs polynomial_circle_roots hands to _local_roots."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _record_local_problems(monkeypatch)
+        polynomial_circle_roots(coeffs, unimod_tol)
+    return [(local, reach) for local, reach, _ in calls]
+
+
+def _contour_corpus():
+    """(name, local problems, D, tight): the Taylor rows polynomial_circle_roots
+    hands to _local_roots for planted roots of multiplicity 1-6 at radii 1
+    and 1 -+ 5e-9, for two pieces cut at a planted root, and for
+    z^64 = e^{64 i phi}, phi = 15.5 h, at tol 1e-2, where no cell is closed
+    and every root lies on a cut.  tight marks the cases whose clusters are
+    well conditioned: multiplicities 1-4."""
+    for m in range(1, 7):
+        for r in (1.0, 1 - 5e-9, 1 + 5e-9):
+            for support in (40, 128, 300):
+                coeffs = _planted_coeffs(np.random.default_rng(m), support, [(0.7, m, r), (3.0, 1, 1.0)])
+                yield f"m{m}-r{r}-support{support}", _local_problems(coeffs), support - 1, m <= 4
+    for m in range(1, 5):
+        for r in (1.0, 1 - 5e-9, 1 + 5e-9):
+            local, reach, D = _cut_problems(100 + 37 * m, m, m, r)
+            yield f"cut-m{m}-r{r}", [(local, reach)], D, True
+    coeffs = np.zeros(65, dtype=complex)
+    coeffs[0], coeffs[64] = -cmath.exp(64j * 15.5 * _cell_width(65)), 1.0
+    yield "z64-on-cuts", _local_problems(coeffs, 1e-2), 64, True
+
+
+class TestContourRoots:
+    @pytest.mark.parametrize("calls, D, tight",
+                             [pytest.param(*case, id=name) for name, *case in _contour_corpus()])
+    def test_same_roots_as_the_companion_inside_the_reach(self, calls, D, tight):
+        # the same count and root sum in every disc, and clusters of the
+        # same sizes; their centres agree to rounding where the clusters are
+        # well conditioned (measured: 1.4e-15 and 4.3e-13 reach at most)
+        for local, reach in calls:
+            for row, x, v in zip(local, reach, spectra._local_roots(local, reach)):
+                want = _companion_inside(row, x)
+                assert len(v) == len(want), x
+                assert abs(v.sum() - want.sum()) <= 1e-10 * x
+                got_clusters = spectra._cluster_roots(v / D)
+                want_clusters = spectra._cluster_roots(want / D)
+                assert sorted(k for _, k in got_clusters) == sorted(k for _, k in want_clusters)
+                if tight:
+                    for z, k in want_clusters:
+                        assert any(kk == k and abs(z - w) <= 1e-12 for w, kk in got_clusters), (z, k)
+
+    @pytest.mark.parametrize("radius", [1 - 1e-4, 1 + 1e-4])
+    def test_root_next_to_the_contour_falls_back_to_the_companion(self, radius, monkeypatch):
+        x = 1.0
+        K = spectra._taylor_order(x)
+        rng = np.random.default_rng(7)
+        v = np.concatenate(([x * radius * cmath.exp(0.4j)],
+                            0.4 * np.exp(2j * math.pi * rng.uniform(size=2)),
+                            3.0 * np.exp(2j * math.pi * rng.uniform(size=K - 3))))
+        local = np.zeros((1, J + 1), dtype=complex)
+        local[0, :K + 1] = np.poly(v)[::-1]
+        calls = _record_local_problems(monkeypatch)
+        (got,) = spectra._local_roots(local, [x])
+        assert calls[0][2] == [-1]
+        want = _companion_inside(local[0], x)
+        assert len(got) == (3 if radius < 1 else 2)
+        assert np.array_equal(np.sort_complex(got), np.sort_complex(want))
 
 
 # ---------------------------------------------------------------------------
