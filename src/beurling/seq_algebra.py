@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -326,31 +326,47 @@ def vanishing_order(f: FinSeq, t: float | CirclePoint, tol: float = 1e-9) -> int
     translation and under f -> c f.  Membership in the order-k ideal at t=0
     is exactly ``vanishing_order > k``.
     """
+    return vanishing_order_test(f, tol)(t)
+
+
+def vanishing_order_test(f: FinSeq, tol: float = 1e-9) -> Callable[[float | CirclePoint], int]:
+    """The map t -> vanishing_order(f, t, tol), for testing many angles: the
+    offsets from the midpoint are computed once, and each order's weight
+    scale sum_n |f(n)| (1+|n-c|)^j once, by the first angle that tests it."""
     if not f:
         raise ValueError("vanishing order of the zero sequence is undefined")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    tt = t.t if isinstance(t, CirclePoint) else float(t)
-    if not math.isfinite(tt):
-        raise ValueError(f"the circle point must be a finite angle, got {tt}")
-    tt = math.fmod(tt, 2 * math.pi)  # exact, and keeps rel * tt finite
     rel = (f._n - f._n[0]).astype(float)  # exact differences, then rounded
     dist = rel - rel[-1] / 2
-    weights = np.abs(f._v)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing scale ends the test
-        terms = f._v * np.exp(-1j * rel * tt)  # |e^{-i lo t}| = 1 drops out
-        for j in range(int(f._n[-1] - f._n[0]) + 1):
-            scale = float(np.sum(weights))
-            if not math.isfinite(scale):
-                raise NumericOverflowError(f"the order-{j} derivative test overflows the float range")
-            if abs(np.sum(terms)) > tol * scale:
-                return j
-            terms = terms * dist
-            weights = weights * (1 + np.abs(dist))
-    raise ValueError(
-        "transform vanishes to every testable order; sequence is "
-        "numerically indistinguishable from zero at this point"
-    )
+    weights = np.abs(f._v)  # |f(n)| (1+|n-c|)^j at j = len(scales) - 1
+    scales: list[float] = []
+
+    def order(t: float | CirclePoint) -> int:
+        nonlocal weights
+        tt = t.t if isinstance(t, CirclePoint) else float(t)
+        if not math.isfinite(tt):
+            raise ValueError(f"the circle point must be a finite angle, got {tt}")
+        tt = math.fmod(tt, 2 * math.pi)  # exact, and keeps rel * tt finite
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing scale ends the test
+            terms = f._v * np.exp(-1j * rel * tt)  # |e^{-i lo t}| = 1 drops out
+            for j in range(int(f._n[-1] - f._n[0]) + 1):
+                if j == len(scales):
+                    grown = weights * (1 + np.abs(dist)) if j else weights
+                    scale = float(grown.sum())
+                    if not math.isfinite(scale):
+                        raise NumericOverflowError(f"the order-{j} derivative test overflows the float range")
+                    weights = grown
+                    scales.append(scale)
+                if abs(terms.sum()) > tol * scales[j]:
+                    return j
+                terms = terms * dist
+        raise ValueError(
+            "transform vanishes to every testable order; sequence is "
+            "numerically indistinguishable from zero at this point"
+        )
+
+    return order
 
 
 def difference_seq(f: FinSeq, m: int, k: int = 1) -> FinSeq:

@@ -22,15 +22,17 @@ matrix while D <= LOCAL_ORDER.  Above that a grid test proves most of the
 circle free of roots within the acceptance band in two levels: coarse
 cells of eight grid cells get sixth-order Taylor bounds from G/8-point
 FFTs, and only the cells of the coarse cells left open get third-order
-bounds.  Short pieces of the cells it leaves open each get a Taylor
-expansion of order at most LOCAL_ORDER, just large enough that its tail
-stays below the rounding of its coefficients.  The argument principle on
-each piece's disc, one batch of FFTs over all pieces, counts the roots
-inside and gives their power sums, so a piece solves only a polynomial of
-that count's degree, and none when it holds no root; a piece with a root
-next to its contour solves its Taylor polynomial's companion matrix.  No
-D x D eigenproblem is formed, and a root found is polished by Newton on
-its piece's Taylor polynomial.
+bounds.  The tables that depend on the grid size G alone, the coarse phase
+row, the shift phases of the fine cells and both levels' Taylor weights,
+are built once per G (see _grid_tables).  Short pieces of the cells it
+leaves open each get a Taylor expansion of order at most LOCAL_ORDER, just
+large enough that its tail stays below the rounding of its coefficients.
+The argument principle on each piece's disc, one batch of FFTs over all
+pieces, counts the roots inside and gives their power sums, so a piece
+solves only a polynomial of that count's degree, and none when it holds no
+root; a piece with a root next to its contour solves its Taylor
+polynomial's companion matrix.  No D x D eigenproblem is formed, and a
+root found is polished by Newton on its piece's Taylor polynomial.
 
 Empty verdicts always carry a certificate: a member of the ideal whose
 transform is bounded away from zero on a grid.
@@ -39,12 +41,12 @@ transform is bounded away from zero on a grid.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import (
     AnnihilationError,
@@ -64,6 +66,7 @@ from .seq_algebra import (
     fourier_grid,
     involution,
     vanishing_order,
+    vanishing_order_test,
 )
 from .signals import (
     ExpPoly,
@@ -266,10 +269,18 @@ def _horner(high_first: list, z: complex) -> complex:
     return acc
 
 
+def _derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of the order-th derivative, lowest first, for order <
+    len(coeffs): the products k c_k of P.polyder, without its per-call setup."""
+    for _ in range(order):
+        coeffs = np.arange(1, len(coeffs)) * coeffs[1:]
+    return coeffs
+
+
 def _refine_root(coeffs: np.ndarray, z0: complex, mult: int) -> complex:
     """Newton on the (mult-1)-th derivative, where the root is simple."""
-    d = P.polyder(coeffs, mult - 1)
-    f, df = d.tolist()[::-1], P.polyder(d).tolist()[::-1]
+    d = _derivative(coeffs, mult - 1)
+    f, df = d.tolist()[::-1], _derivative(d, 1).tolist()[::-1]
     z = complex(z0)
     for _ in range(8):
         fz = _horner(f, z)
@@ -306,6 +317,30 @@ def _running_products(first, step, rows: int) -> np.ndarray:
     return np.cumprod(out, axis=0, out=out)
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_tables(G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of the grid test on G cells that depend on G alone, built
+    once per grid size and read-only: the coarse phase row e^{2 pi i k/Gc},
+    k < Gc = G/8; the shift phases e^{i s h m}, s = -4..3, for every
+    m <= G/GRID_PER_DEGREE, which is at least the degree (a polynomial
+    takes its first D + 1 columns); and the coarse and fine Taylor weights.
+    Nothing per degree is kept: a `hulls` benchmark round meets about a
+    dozen degrees but three grid sizes, which the four slots hold."""
+    Gc = G // _COARSE
+    h = 2 * math.pi / G
+    r = _COARSE * h / 2
+    m = np.arange(G // GRID_PER_DEGREE + 1)
+    tables = (
+        np.exp(2j * math.pi / Gc * np.arange(Gc)),
+        _running_products(np.exp(-4j * h * m), np.exp(1j * h * m), _COARSE),
+        np.array([1.0] + [-r ** k / math.factorial(k) for k in range(1, 7)]),
+        np.array([1.0, -h / 2, -h ** 2 / 8, -h ** 3 / 48]),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _open_cells(c: np.ndarray, unimod_tol: float) -> np.ndarray:
     """Mask of the grid cells [t_j - h/2, t_j + h/2], t_j = j h, that may
     hold a root within the band; every closed cell provably holds none.
@@ -331,32 +366,31 @@ def _open_cells(c: np.ndarray, unimod_tol: float) -> np.ndarray:
     G = 1 << (GRID_PER_DEGREE * D - 1).bit_length()
     Gc = G // _COARSE
     h = 2 * math.pi / G
+    coarse_row, shift_phases, taylor, fine_taylor = _grid_tables(G)
     a = np.abs(c)
     m = np.arange(D + 1)
     n = m - D / 2
     powers = _running_products(1.0, n, 8)  # (n - D/2)^k, k = 0..7
     growth = math.exp(min((D - 1) * math.log1p(unimod_tol), 700.0))
-    band = 2 * float(np.sum(m * a)) * unimod_tol * growth
-    level = band + G * np.finfo(float).eps * float(np.sum(a))
+    band = 2 * float((m * a).sum()) * unimod_tol * growth
+    level = band + G * np.finfo(float).eps * float(a.sum())
     # |sum_n c_n (n - D/2)^k e^{inJH}|, k = 0..6, by unscaled inverse FFTs
     coarse = np.abs(np.fft.ifft(c * powers[:7], Gc, norm="forward"))
     r = _COARSE * h / 2
-    taylor = np.array([1.0] + [-r ** k / math.factorial(k) for k in range(1, 7)])
     coarse_open = taylor @ coarse - float(a @ np.abs(powers[7])) * r ** 7 / 5040 <= level
     # touch[J, s + 4]: cell 8 J + s touches an open coarse cell; s = -4
     # straddles coarse cells J - 1 and J
     touch = np.repeat(coarse_open[:, None], _COARSE, axis=1)
     touch[1:, 0] |= coarse_open[:-1]
     touch[0, 0] |= coarse_open[-1]
-    shifted = c * _running_products(np.exp(-4j * h * m), np.exp(1j * h * m), _COARSE)  # s = -4..3
-    fine_taylor = np.array([1.0, -h / 2, -h ** 2 / 8, -h ** 3 / 48])
+    shifted = c * shift_phases[:, :D + 1]  # s = -4..3
     M4 = float(a @ powers[4]) * h ** 4 / 384
     if np.count_nonzero(touch) * (D + 1) <= _GATHER_LIMIT * Gc * math.log2(Gc):
         cell = np.flatnonzero(touch)
         J, shift = np.divmod(cell, _COARSE)
-        index = np.outer(J, m)
+        index = np.multiply.outer(J, m)
         index &= Gc - 1
-        rows = np.exp(2j * math.pi / Gc * np.arange(Gc))[index]
+        rows = coarse_row[index]
         rows *= shifted[shift]
         layout = np.zeros(G, dtype=bool)
         layout[cell] = np.abs(rows @ powers[:4].T) @ fine_taylor - M4 <= level
@@ -373,12 +407,17 @@ def _open_cells(c: np.ndarray, unimod_tol: float) -> np.ndarray:
 def _open_runs(open_cells: np.ndarray) -> list[np.ndarray]:
     """Maximal circular runs of open cells as index arrays, unwrapped, so a
     run across cell 0 continues past G - 1; with no closed cell the whole
-    circle is one run."""
-    if not open_cells.any():
+    circle is one run.  Runs come in the order of their first cell, counted
+    from the first closed cell."""
+    G = open_cells.size
+    idx = np.flatnonzero(open_cells)
+    if idx.size == 0:
         return []
-    start = int(np.argmin(open_cells))  # a closed cell, or 0 when none is closed
-    idx = np.flatnonzero(np.roll(open_cells, -start)) + start
-    return np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    if idx[0] == 0 and idx.size < G:  # the run through cell 0 goes last, past G - 1
+        first = runs.pop(0) + G
+        runs.append(np.concatenate((runs.pop(), first)) if runs and runs[-1][-1] == G - 1 else first)
+    return runs
 
 
 def _taylor_order(reach: float) -> int:
@@ -420,16 +459,15 @@ def _contour_counts(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sigma, np.where(ok, M, -1)
 
 
-def _local_roots(local: np.ndarray, reach: Sequence[float]) -> list[np.ndarray]:
+def _local_roots(local: np.ndarray, reach: Sequence[float], orders: Sequence[int]) -> list[np.ndarray]:
     """Roots v, |v| <= reach[i], of sum_k local[i, k] v^k, k <= K_i =
-    _taylor_order(reach[i]), for each row i.  A row whose root count M on
-    |v| = reach[i] is trusted (see _contour_counts) solves only the monic
-    degree-M polynomial that Newton's identities build from its power sums,
-    and none when M = 0.  The other rows solve their order-K_i companion
+    orders[i], for each row i.  A row whose root count M on |v| = reach[i]
+    is trusted (see _contour_counts) solves only the monic degree-M
+    polynomial that Newton's identities build from its power sums, and none
+    when M = 0.  The other rows solve their order-K_i companion
     matrix, or np.roots, which drops a zero leading coefficient, where
     local[i, K_i] = 0.  Companion matrices of one degree are stacked into
     one eigenproblem."""
-    orders = [_taylor_order(x) for x in reach]
     width = max(orders) + 1
     k = np.arange(width)
     scaled = np.where(k <= np.array(orders)[:, None],
@@ -466,7 +504,7 @@ def _local_expansions(c: np.ndarray, q: np.ndarray, G: int, K: int) -> tuple[np.
     D = len(c) - 1
 
     def phase(m):
-        return np.exp(1j * math.pi / G * (np.outer(q, m) % (2 * G)))
+        return np.exp(1j * math.pi / G * (np.multiply.outer(q, m) % (2 * G)))
 
     k = np.arange(1, K + 1)[:, None]
     ns = np.arange(D + 1)
@@ -485,13 +523,22 @@ def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex,
     open_cells = _open_cells(c, unimod_tol)
     G = open_cells.size
     h = 2 * math.pi / G
-    pieces = [piece for run in _open_runs(open_cells)
-              for piece in np.array_split(run, -(-run.size // PIECE_CELLS))]
+    # (first cell, cells) of each piece: a run is cut into the fewest pieces
+    # of at most PIECE_CELLS cells, the first size % count of them one cell
+    # longer, as np.array_split cuts it
+    pieces = []
+    for run in _open_runs(open_cells):
+        count = -(-run.size // PIECE_CELLS)
+        size, longer = divmod(run.size, count)
+        first = int(run[0])
+        for k in range(count):
+            pieces.append((first, size + (k < longer)))
+            first += pieces[-1][1]
     if not pieces:
         return []
-    q = np.array([p[0] + p[-1] for p in pieces])  # centres t0 = q h / 2
+    q = np.array([2 * first + cells - 1 for first, cells in pieces])  # centres t0 = q h / 2
     centres = q * h / 2
-    reach = [D * (p.size * h / 2 + h + 2 * ROOT_CLUSTER_RADIUS) for p in pieces]
+    reach = [D * (cells * h / 2 + h + 2 * ROOT_CLUSTER_RADIUS) for _, cells in pieces]
     orders = [_taylor_order(x) for x in reach]
     local, z0 = _local_expansions(c, q, G, max(orders))
     # A cluster centre is claimed by the piece whose arc holds its angle,
@@ -501,8 +548,8 @@ def _local_circle_roots(c: np.ndarray, unimod_tol: float) -> list[tuple[complex,
     # ROOT_CLUSTER_RADIUS means one piece never has two clusters that close.
     mu = min(h, ROOT_CLUSTER_RADIUS) / 4
     claims = []
-    for i, (piece, t0, v) in enumerate(zip(pieces, centres, _local_roots(local, reach))):
-        half = piece.size * h / 2
+    for i, ((_, cells), t0, v) in enumerate(zip(pieces, centres, _local_roots(local, reach, orders))):
+        half = cells * h / 2
         z = z0[i] + v / D
         for center, mult in _cluster_roots(z):
             d = (cmath.phase(center) - t0 + math.pi) % (2 * math.pi) - math.pi
@@ -628,8 +675,9 @@ def hull_of_generators(gens: Sequence[FinSeq]) -> SpectrumResult:
     # with u = e^{-it} the transform is u^{min supp} times a polynomial in u
     roots = polynomial_circle_roots(shortest._dense()[1])
     points = []
+    tests = [vanishing_order_test(f) for f in gens]
     for t in sorted((-cmath.phase(z)) % (2 * math.pi) for z, _ in roots):
-        orders = [vanishing_order(f, t) for f in gens]
+        orders = [test(t) for test in tests]
         if all(m >= 1 or f is shortest or _newton_reaches_zero(f, t, UNIMODULAR_TOL + ANGULAR_TOL)
                for f, m in zip(gens, orders)):
             points.append(SpectrumPoint(CirclePoint(t), max(min(orders), 1)))

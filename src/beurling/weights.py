@@ -141,8 +141,8 @@ def _evaluate(w: WeightSpec, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.power(1.0 + kf, w.exponent), w.exponent * np.log1p(kf), everywhere
     if isinstance(w, ExponentialWeight):
         kf = k.astype(float)
-        vals = np.power(w.base, kf) + np.power(w.base, -kf)
-        return vals, kf * math.log(w.base) + np.log1p(np.power(w.base, -2.0 * kf)), everywhere
+        vals = _power(w.base, kf) + _power(w.base, -kf)
+        return vals, kf * math.log(w.base) + np.log1p(_power(w.base, -2.0 * kf)), everywhere
     if isinstance(w, ProductWeight):
         lv, ll, lin = _evaluate(w.left, k)
         rv, rl, rin = _evaluate(w.right, k)
@@ -155,6 +155,17 @@ def _evaluate(w: WeightSpec, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         raise TypeError(f"not a weight descriptor: {w!r}")
     return vals, np.where(vals <= 0, -np.inf, np.log(vals)), inside
+
+
+def _power(base: float, exponents: np.ndarray) -> np.ndarray:
+    """np.power(base, exponents) for base > 1, bit for bit, with inf or 0
+    filled in where |exponent| log2(base) > 1100, far past the float range:
+    numpy takes about eight times as long on a power that overflows or
+    underflows as on one that does not."""
+    out = np.where(exponents > 0, np.inf, 0.0)
+    inside = np.abs(exponents) * math.log2(base) <= 1100
+    out[inside] = np.power(base, exponents[inside])
+    return out
 
 
 def _signal_derived(w: SignalDerivedWeight, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

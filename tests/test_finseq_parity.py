@@ -33,6 +33,7 @@ from beurling.seq_algebra import (
     fourier_grid,
     involution,
     vanishing_order,
+    vanishing_order_test,
     weighted_norm,
 )
 from beurling.weights import ExponentialWeight, PowerWeight, eval_weight
@@ -390,6 +391,27 @@ class TestTransformParity:
             except ValueError:
                 outcome.append("ValueError")
         assert outcome[0] == outcome[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs(regimes=("dense", "edge")), st.floats(0, 2 * math.pi), st.integers(0, 3),
+           st.lists(st.floats(0, 2 * math.pi), max_size=3))
+    def test_one_vanishing_order_test_across_angles(self, ps, t, k, others):
+        # shallow angles, then the planted zero, then both again: each order's
+        # scale is built by whichever angle tests it first
+        ref = RefSeq(ps)
+        for _ in range(k):
+            ref = ref_convolve(ref, RefSeq({0: 1, 1: -cmath.exp(1j * t)}))
+        if not ref.entries:
+            return
+        order = vanishing_order_test(FinSeq(ref.entries))
+        for s in [*others, t, *others, t]:
+            outcome = []
+            for fn in (order, lambda s: ref_vanishing_order(ref, s)):
+                try:
+                    outcome.append(fn(s))
+                except ValueError:
+                    outcome.append("ValueError")
+            assert outcome[0] == outcome[1]
 
     @settings(max_examples=60, deadline=None)
     @given(pairs(), st.sampled_from([PowerWeight(0.5), PowerWeight(2), ExponentialWeight(1.001)]))

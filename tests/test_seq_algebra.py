@@ -21,6 +21,7 @@ from beurling.seq_algebra import (
     fourier_grid,
     involution,
     vanishing_order,
+    vanishing_order_test,
     weighted_norm,
 )
 from beurling.weights import ExponentialWeight, PowerWeight
@@ -259,6 +260,26 @@ class TestVanishingOrder:
         vals = np.convolve(base, [1, -3, 3, -1])
         f = FinSeq({offset + i: v for i, v in enumerate(vals.tolist())})
         assert vanishing_order(f, 0.0) == 3
+
+    def test_one_test_for_many_angles_is_each_call(self):
+        # (delta_0 - delta_1)^2 times a random factor, times a simple zero
+        # at t = 1: the angles go deeper and shallower in turn, so later
+        # ones reuse the scales the earlier ones built
+        rng = np.random.default_rng(8)
+        vals = np.convolve(rng.standard_normal(40) + 1j * rng.standard_normal(40), [1, -2, 1])
+        vals = np.convolve(vals, [1, -np.exp(1j)])
+        f = FinSeq({n - 20: v for n, v in enumerate(vals.tolist())})
+        ts = [0.5, 1.0, 0.0, 1.0, 3.0, 0.0, 2 * math.pi]
+        order = vanishing_order_test(f)
+        assert [order(t) for t in ts] == [vanishing_order(f, t) for t in ts]
+        assert [order(t) for t in ts[:3]] == [0, 1, 2]
+
+    def test_one_test_keeps_raising_an_overflowing_order(self):
+        order = vanishing_order_test(FinSeq({0: 1e307, 1000: -1e307}))
+        assert order(1.0) == 0
+        for _ in range(2):
+            with pytest.raises(NumericOverflowError, match="order-1 derivative test overflows"):
+                order(0.0)
 
     @given(nonzero_finseqs, st.integers(1, 3), st.integers(0, 2))
     def test_differences_raise_order(self, f, m, k):

@@ -902,9 +902,9 @@ def _record_local_problems(monkeypatch):
     calls = []
     real_roots, real_counts = spectra._local_roots, spectra._contour_counts
 
-    def local_roots(local, reach):
+    def local_roots(local, reach, orders):
         calls.append([local.copy(), list(reach), None])
-        return real_roots(local, reach)
+        return real_roots(local, reach, orders)
 
     def contour_counts(scaled):
         sigma, counts = real_counts(scaled)
@@ -978,7 +978,7 @@ class TestCellTestAndTaylorOrder:
         reach = [0.3, 0.3, 1.0]
         K = spectra._taylor_order(0.3)
         local[1, K] = 0  # np.roots drops it: one root fewer
-        got = spectra._local_roots(local, reach)
+        got = spectra._local_roots(local, reach, [spectra._taylor_order(x) for x in reach])
         for row, x, v in zip(local, reach, got):
             want = np.roots(row[spectra._taylor_order(x)::-1])
             want = want[np.abs(want) < x]  # only the roots inside the contour come back
@@ -1102,7 +1102,8 @@ class TestContourRoots:
         # same sizes; their centres agree to rounding where the clusters are
         # well conditioned (measured: 1.4e-15 and 4.3e-13 reach at most)
         for local, reach in calls:
-            for row, x, v in zip(local, reach, spectra._local_roots(local, reach)):
+            orders = [spectra._taylor_order(x) for x in reach]
+            for row, x, v in zip(local, reach, spectra._local_roots(local, reach, orders)):
                 want = _companion_inside(row, x)
                 assert len(v) == len(want), x
                 assert abs(v.sum() - want.sum()) <= 1e-10 * x
@@ -1124,7 +1125,7 @@ class TestContourRoots:
         local = np.zeros((1, J + 1), dtype=complex)
         local[0, :K + 1] = np.poly(v)[::-1]
         calls = _record_local_problems(monkeypatch)
-        (got,) = spectra._local_roots(local, [x])
+        (got,) = spectra._local_roots(local, [x], [K])
         assert calls[0][2] == [-1]
         want = _companion_inside(local[0], x)
         assert len(got) == (3 if radius < 1 else 2)
@@ -1272,3 +1273,75 @@ class TestExactPhaseExpansions:
         want = _exact_phase_expansion(c, q, G, K)
         assert np.max(np.abs(local - want)) <= 1e-14 * np.sum(np.abs(c))
         assert np.allclose(z0, [cmath.exp(1j * math.pi * (int(x) % (2 * G)) / G) for x in q], rtol=0, atol=1e-16)
+
+
+# ---------------------------------------------------------------------------
+# the root path without numpy's helpers, bit for bit against them
+
+
+def _rolled_open_runs(open_cells):
+    """_open_runs by rolling the mask to its first closed cell, then
+    splitting: the earlier form, kept as a reference."""
+    if not open_cells.any():
+        return []
+    start = int(np.argmin(open_cells))
+    idx = np.flatnonzero(np.roll(open_cells, -start)) + start
+    return np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+
+
+def _run_masks(G):
+    """All open, all closed, one open and one closed cell at 0, G/2 and
+    G - 1, runs across cell 0, and random masks."""
+    def mask(cells, value=True):
+        out = np.full(G, not value)
+        out[cells] = value
+        return out
+
+    yield mask([])
+    yield mask([], False)
+    for j in (0, G // 2, G - 1):
+        yield mask([j])
+        yield mask([j], False)
+    for cells in ([G - 2, G - 1, 0, 1, 5], [0, 1, 5], [5, G - 2, G - 1], [0, G - 1]):
+        yield mask(cells)
+    rng = np.random.default_rng(G)
+    for p in (0.02, 0.5, 0.98):
+        yield rng.random(G) < p
+
+
+class TestRootPathParity:
+    @pytest.mark.parametrize("G", [64, 4096, 8192])
+    def test_open_runs_match_the_rolled_split(self, G):
+        for mask in _run_masks(G):
+            got, want = spectra._open_runs(mask), _rolled_open_runs(mask)
+            assert len(got) == len(want)
+            for run, ref in zip(got, want):
+                assert run.dtype == ref.dtype and np.array_equal(run, ref)
+
+    def test_derivative_is_polyder_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for size in (9, 29, 241):
+            row = rng.normal(size=size) + 1j * rng.normal(size=size)
+            row[::7] = 0  # exact zeros, whose signs the products keep
+            for order in range(9):
+                assert spectra._derivative(row, order).tobytes() == P.polyder(row, order).tobytes()
+
+    def test_grid_tables_are_read_only_and_built_once_per_grid_size(self):
+        assert spectra._grid_tables.cache_info().maxsize <= 4
+        for G in (1024, 4096, 8192):
+            tables = spectra._grid_tables(G)
+            assert spectra._grid_tables(G) is tables
+            assert not any(table.flags.writeable for table in tables)
+            with pytest.raises(ValueError):
+                tables[0][0] = 0
+
+    @pytest.mark.parametrize("G", [1024, 4096, 8192])
+    def test_grid_tables_are_the_per_degree_expressions_bit_for_bit(self, G):
+        # every degree D with this grid size slices the same prefixes
+        row, shifts, _, _ = spectra._grid_tables(G)
+        Gc, h = G // 8, 2 * math.pi / G
+        assert row.tobytes() == np.exp(2j * math.pi / Gc * np.arange(Gc)).tobytes()
+        for D in (G // 64 + 1, G // 48, G // 32):
+            m = np.arange(D + 1)
+            want = spectra._running_products(np.exp(-4j * h * m), np.exp(1j * h * m), 8)
+            assert np.ascontiguousarray(shifts[:, :D + 1]).tobytes() == want.tobytes()

@@ -331,6 +331,22 @@ class TestEval:
         assert eval_weight(PowerWeight(1), 2 ** 70) == float(2 ** 70 + 1)
         assert eval_weight(ExponentialWeight(2), [2 ** 70, 1])[1] == 2.5
 
+    @pytest.mark.parametrize("base", [1.01, 2.0, 1e10])
+    def test_exponential_is_the_power_expression_bit_for_bit(self, base):
+        # every |n| up to 10^5, so every edge where b^k overflows, b^-k or
+        # b^-2k underflows, and |k| log2 b passes 1100, from both signs
+        k = np.arange(10 ** 5 + 1)
+        kf = k.astype(float)
+        with np.errstate(over="ignore"):
+            want_vals = np.power(base, kf) + np.power(base, -kf)
+            want_logs = kf * math.log(base) + np.log1p(np.power(base, -2.0 * kf))
+        for n in (k, -k[::-1]):
+            vals, logs, _ = weights._evaluate(ExponentialWeight(base), n)
+            if n[0] < 0:
+                vals, logs = vals[::-1], logs[::-1]
+            assert vals.tobytes() == want_vals.tobytes()
+            assert logs.tobytes() == want_logs.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PowerWeight(-1)
