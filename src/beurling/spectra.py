@@ -325,7 +325,7 @@ def _grid_tables(G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     m <= G/GRID_PER_DEGREE, which is at least the degree (a polynomial
     takes its first D + 1 columns); and the coarse and fine Taylor weights.
     Nothing per degree is kept: a `hulls` benchmark round meets about a
-    dozen degrees but three grid sizes, which the four slots hold."""
+    dozen degrees but two grid sizes, three with its warm-up."""
     Gc = G // _COARSE
     h = 2 * math.pi / G
     r = _COARSE * h / 2
