@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from beurling import cli, signals, verify
 from beurling.cli import main
-from beurling.descriptors import signal_to_json, weight_to_json
+from beurling.descriptors import MAX_NESTING, signal_to_json, weight_to_json
 from beurling.finite_oracle import MAX_TRIALS
 from beurling.signals import ExpPoly, Geometric, TableSignal, sample_signal
 from beurling.weights import ExponentialWeight, PowerWeight, SignalDerivedWeight
+from test_descriptors import nested_signal, nested_weight
 
 
 def write(tmp_path, name, payload):
@@ -578,6 +579,44 @@ class TestErrorPaths:
                     {"entries": [[-5, 1, 0], [5, 1, 0]]})
         code, _ = run(capsys, "spectrum", "--signal", sig, "--gens", gen)
         assert code == 1
+
+
+class TestNesting:
+    @pytest.mark.parametrize("text", [
+        json.dumps(nested_signal(800)),
+        "[" * 10 ** 5 + "]" * 10 ** 5,
+    ], ids=["cumsum-800-deep", "array-1e5-deep"])
+    def test_too_deep_is_a_located_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = main(["integrate", "--signal", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: $") and "nested" in captured.err
+
+    def test_integrate_at_the_bound(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", nested_signal(MAX_NESTING))
+        code, out = run(capsys, "integrate", "--signal", path, "--probe", "10,100,1000")
+        assert code == 0
+        assert len(json.loads(out, parse_constant=_reject)["supTrace"]) == 3
+
+    def test_spectrum_at_the_bound_gets_past_the_parser(self, tmp_path, capsys):
+        # spectra are not computed for a running sum at any depth: the
+        # subcommand's own refusal, not a parse error
+        for depth in (1, MAX_NESTING):
+            path = write(tmp_path, "s.json", nested_signal(depth))
+            code = main(["spectrum", "--signal", path])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == ("error: $: spectra are computed for expPoly, geometric, "
+                                    "or table signals\n")
+
+    def test_weight_check_at_the_bound(self, tmp_path, capsys):
+        path = write(tmp_path, "w.json", nested_weight(MAX_NESTING))
+        code, out = run(capsys, "weight", "check", "--weight", path,
+                        "--window", "20", "--terms", "1000")
+        assert code == 0
+        assert json.loads(out, parse_constant=_reject)["axiomsOk"] is True
 
 
 # ---------------------------------------------------------------------------
